@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .bigraph import Matching, cantor_bernstein_merge, hall_violator, max_matching, support_graph
+from .bigraph import (Matching, SupportGraph, cantor_bernstein_merge, hall_violator,
+                      max_matching, support_graph)
 from .linalg import SparseMatrix, Vector, kernel_basis
 
 __all__ = [
@@ -90,6 +91,16 @@ class Bijection:
         return cls(fwd, {i: j for j, i in sorted(fwd.items())})
 
 
+def _column_cover(graph: SupportGraph) -> Matching:
+    """A maximum matching, which must cover the columns of a trivial kernel."""
+    m = max_matching(graph)
+    if not m.covers_cols(graph):
+        raise AssertionError(
+            "trivial kernel but no column-covering matching; "
+            "this contradicts the finite covering theorem")
+    return m
+
+
 def certify_columns(matrix: SparseMatrix, via_violator: bool = False) -> Certificate:
     """Either an Sdr for the columns or a verified kernel vector.
 
@@ -101,12 +112,7 @@ def certify_columns(matrix: SparseMatrix, via_violator: bool = False) -> Certifi
     kern = kernel_basis(matrix)
     graph = support_graph(matrix)
     if not kern:
-        m = max_matching(graph)
-        if not m.covers_cols(graph):
-            raise AssertionError(
-                "trivial kernel but no column-covering matching; "
-                "this contradicts the finite covering theorem")
-        return Sdr.checked(matrix, m.col_to_row)
+        return Sdr.checked(matrix, _column_cover(graph).col_to_row)
     if via_violator:
         violator = hall_violator(graph)
         if violator is not None:
@@ -126,26 +132,19 @@ def diagonalize(matrix: SparseMatrix) -> Bijection | Dependence:
     """A diagonal rearrangement when both sides are independent.
 
     If the rows or the columns are dependent, the offending verified kernel
-    vector is returned instead, row side reported first.  When both kernels
-    are trivial the matrix must already be square; a column-covering and a
-    row-covering injection are then merged into a single bijection.
+    vector is returned instead, row side reported first.  One elimination of
+    the transpose decides: dependent rows give the row-side vector;
+    independent rows pin the rank to the row count, so a wide matrix has
+    dependent columns and a square one has a trivial column kernel too.  One
+    maximum matching then covers both sides of the square matrix, and the
+    Cantor-Bernstein merge of it with itself validates it as a bijection.
     """
     row_kern = kernel_basis(matrix.transpose())
     if row_kern:
         return Dependence.checked(matrix, row_kern[0], "row")
-    col_kern = kernel_basis(matrix)
-    if col_kern:
-        return Dependence.checked(matrix, col_kern[0], "col")
     if matrix.num_rows != matrix.num_cols:
-        # Unreachable for exact arithmetic: independence on both sides pins
-        # the rank to both dimensions at once.
-        raise ValueError("independent rows and columns require a square matrix")
-    cols_cert = certify_columns(matrix)
-    rows_cert = certify_columns(matrix.transpose())
-    if not (isinstance(cols_cert, Sdr) and isinstance(rows_cert, Sdr)):
-        raise AssertionError("trivial kernels must certify as injections")
+        return Dependence.checked(matrix, kernel_basis(matrix)[0], "col")
     graph = support_graph(matrix)
-    m_cols = Matching.checked(graph, ((j, i) for j, i in cols_cert.assignment.items()))
-    m_rows = Matching.checked(graph, ((j, i) for i, j in rows_cert.assignment.items()))
-    merged = cantor_bernstein_merge(graph, m_cols, m_rows)
+    m = _column_cover(graph)
+    merged = cantor_bernstein_merge(graph, m, m)
     return Bijection.checked(matrix, merged.col_to_row)

@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 for positive certificates (or plain computations), 1 for
-refutation certificates, 2 for usage and format errors.  Everything printed
-has been re-verified against the matrix by the constructing factory.
+refutation certificates, 2 for usage and format errors, 3 for internal
+failures (a failed self-check, exhausted recursion or memory), which print
+an ``internal error:`` line on stderr.  Everything printed has been
+re-verified against the matrix by the constructing factory.
 """
 
 from __future__ import annotations
@@ -188,6 +190,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, RecursionError, MemoryError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

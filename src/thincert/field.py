@@ -19,16 +19,35 @@ Raw = Union[Fraction, int]
 _SCALAR_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
+#: Miller-Rabin witnesses: the first 13 primes.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: The least strong pseudoprime to every base in ``_MR_BASES`` (about
+#: 3.3e24); Miller-Rabin on those bases decides primality exactly below it.
+MODULUS_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for ``n < MODULUS_BOUND``."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -42,8 +61,12 @@ class FieldSpec:
     __slots__ = ("modulus", "zero", "one")
 
     def __init__(self, modulus: int | None = None):
-        if modulus is not None and not _is_prime(modulus):
-            raise ValueError(f"modulus {modulus} is not prime")
+        if modulus is not None:
+            if modulus >= MODULUS_BOUND:
+                raise ValueError(f"modulus {modulus} is too large: primality is "
+                                 f"only decided below {MODULUS_BOUND}")
+            if not _is_prime(modulus):
+                raise ValueError(f"modulus {modulus} is not prime")
         self.modulus = modulus
         self.zero: Raw = 0 if modulus is not None else Fraction(0)
         self.one: Raw = 1 if modulus is not None else Fraction(1)

@@ -295,7 +295,9 @@ class UnsolvabilityCertificate:
 
 
 def _feed_all(matrix: SparseMatrix, rhs: Vector | None) -> tuple[Eliminator, dict[int, Raw] | None]:
-    elim = Eliminator(matrix.spec)
+    """Feed every row; provenance is tracked only when a right-hand side
+    can produce a refutation that needs it."""
+    elim = Eliminator(matrix.spec, track=rhs is not None)
     rhs_cells = rhs.raw_cells() if rhs is not None else {}
     for i in range(matrix.num_rows):
         combo = elim.feed(matrix.raw_row(i), rhs_cells.get(i, matrix.spec.zero))

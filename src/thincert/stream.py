@@ -67,7 +67,7 @@ class StreamState:
         self.num_cols = top
         cells = {c: v for c, v in cells.items() if v != 0}
         self._rows.append((cells, rhs_raw))
-        combo = self._elim.feed(dict(cells), rhs_raw)
+        combo = self._elim.feed(cells, rhs_raw)
         if combo is not None and self.is_solvable:
             core = frozenset(combo)
             self._verify_core(core)
@@ -75,11 +75,11 @@ class StreamState:
         return self
 
     def _verify_core(self, core: frozenset[int]) -> None:
-        check = Eliminator(self.spec)
+        check = Eliminator(self.spec, track=False)
         contradicted = False
         for i in sorted(core):
             cells, rhs_raw = self._rows[i]
-            if check.feed(dict(cells), rhs_raw) is not None:
+            if check.feed(cells, rhs_raw) is not None:
                 contradicted = True
         if not contradicted:
             raise AssertionError("stream core is not unsolvable in isolation")

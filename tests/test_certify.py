@@ -5,9 +5,9 @@ import random
 import pytest
 
 import gen
-from thincert import (Bijection, Dependence, FieldSpec, Sdr, SparseMatrix,
-                      Vector, certify_columns, diagonalize, hall_violator,
-                      support_graph)
+from thincert import (Bijection, Dependence, FieldSpec, Matching, Sdr, SparseMatrix,
+                      Vector, cantor_bernstein_merge, certify_columns, diagonalize,
+                      hall_violator, kernel_basis, support_graph)
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.gf(2)
@@ -178,6 +178,26 @@ def test_diagonalize_rectangular_reports_a_dependence():
     assert isinstance(out, Dependence) and out.side == "col"
 
 
+def two_injection_bijection(m):
+    """The bijection built from both column certificates by the
+    Cantor-Bernstein merge, the construction diagonalize must reproduce."""
+    cols_cert = certify_columns(m)
+    rows_cert = certify_columns(m.transpose())
+    assert isinstance(cols_cert, Sdr) and isinstance(rows_cert, Sdr)
+    graph = support_graph(m)
+    m_cols = Matching.checked(graph, cols_cert.assignment.items())
+    m_rows = Matching.checked(graph, ((j, i) for i, j in rows_cert.assignment.items()))
+    return Bijection.checked(m, cantor_bernstein_merge(graph, m_cols, m_rows).col_to_row)
+
+
+def first_dependence(m):
+    """Row-side kernel vector first, then the column side."""
+    row_kern = kernel_basis(m.transpose())
+    if row_kern:
+        return Dependence(row_kern[0], "row")
+    return Dependence(kernel_basis(m)[0], "col")
+
+
 def test_diagonalize_random_invertible():
     rng = random.Random(3333)
     for spec in (GF5, QQ):
@@ -191,6 +211,7 @@ def test_diagonalize_random_invertible():
             for j, i in out.col_to_row.items():
                 assert m.entry(i, j)
                 assert out.row_to_col[i] == j
+            assert out == two_injection_bijection(m)
 
 
 def test_diagonalize_random_singular():
@@ -206,3 +227,19 @@ def test_diagonalize_random_singular():
             assert isinstance(out, Dependence)
             target = m.transpose() if out.side == "row" else m
             assert target.mul_vector(out.vector).is_zero
+            assert out == first_dependence(m)
+
+
+def test_diagonalize_random_rectangular():
+    rng = random.Random(5555)
+    sides = set()
+    for spec in (GF5, QQ):
+        for _ in range(10):
+            m = gen.independent_cols_matrix(spec, rng, max_rows=9, max_cols=8)
+            if m.num_rows == m.num_cols:
+                continue
+            for shaped in (m, m.transpose()):
+                out = diagonalize(shaped)
+                assert out == first_dependence(shaped)
+                sides.add(out.side)
+    assert sides == {"row", "col"}

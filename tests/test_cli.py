@@ -168,6 +168,19 @@ def test_usage_errors_exit_2(capsys):
     assert main(["rank"]) == 2
 
 
+@pytest.mark.parametrize("exc", [AssertionError("self-check failed"),
+                                 RecursionError("maximum recursion depth exceeded"),
+                                 MemoryError("out of memory")])
+def test_internal_errors_exit_3(matrix_file, capsys, monkeypatch, exc):
+    def boom(matrix):
+        raise exc
+    monkeypatch.setattr("thincert.cli.rank", boom)
+    assert main(["rank", matrix_file(INDEPENDENT)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
 def test_module_entry_point(matrix_file, tmp_path):
     # The child runs from tmp_path, where a relative PYTHONPATH such as
     # "src" no longer resolves; put the absolute directory holding the

@@ -1,5 +1,6 @@
 """Field arithmetic: exactness, axioms, parsing and rendering."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thincert import FieldElement, FieldSpec, parse_scalar
+from thincert.field import MODULUS_BOUND
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.gf(2)
@@ -30,6 +32,24 @@ def test_gf_requires_prime_modulus():
             FieldSpec.gf(bad)
     for good in (2, 3, 5, 7, 11, 97):
         assert FieldSpec.gf(good).modulus == good
+
+
+def test_gf_primality_is_fast_and_rejects_pseudoprimes():
+    start = time.perf_counter()
+    assert FieldSpec.gf(2 ** 61 - 1).modulus == 2 ** 61 - 1
+    assert time.perf_counter() - start < 0.5
+    # a Carmichael number, and strong pseudoprimes to the first 5 and 9 prime bases
+    for bad in (561, 3215031751, 3825123056546413051):
+        with pytest.raises(ValueError, match="not prime"):
+            FieldSpec.gf(bad)
+
+
+def test_gf_rejects_moduli_beyond_the_primality_bound():
+    # MODULUS_BOUND passes all 13 Miller-Rabin bases but is composite;
+    # 2^89 - 1 is a Mersenne prime, rejected all the same
+    for big in (MODULUS_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=str(MODULUS_BOUND)):
+            FieldSpec.gf(big)
 
 
 def test_spec_equality_and_hash():

@@ -1,0 +1,65 @@
+"""Differential oracle: rank and kernel against sympy's DomainMatrix.
+
+Both ``rank`` and ``kernel_basis`` eliminate without provenance; sympy's
+sparse domain matrices give an independent computation over the same fields.
+"""
+
+import random
+
+import pytest
+
+import gen
+from thincert import FieldSpec, SparseMatrix, kernel_basis, rank
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+P = 1000003
+FIELDS = [FieldSpec.rationals(), FieldSpec.gf(P)]
+
+
+def to_sympy(spec, nrows, ncols, rows):
+    dom = sympy.QQ if spec.modulus is None else sympy.GF(spec.modulus)
+    conv = dom if spec.modulus is not None else (lambda v: dom(v.numerator, v.denominator))
+    return DomainMatrix({i: {j: conv(v) for j, v in row.items()}
+                         for i, row in enumerate(rows) if row}, (nrows, ncols), dom)
+
+
+def sparse_matrix_rows(spec, rng):
+    """Sparse rows, a share of them combinations of earlier rows, so that
+    both the row and the column kernel are often nontrivial."""
+    nrows, ncols = rng.randint(1, 25), rng.randint(1, 25)
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:
+            row = {}
+            for _ in range(2):
+                f = gen.rand_nonzero(spec, rng)
+                for c, v in rows[rng.randrange(len(rows))].items():
+                    row[c] = spec.add(row.get(c, spec.zero), spec.mul(f, v))
+            row = {c: v for c, v in row.items() if v != 0}
+        else:
+            cols = rng.sample(range(ncols), rng.randint(0, min(4, ncols)))
+            row = {c: gen.rand_nonzero(spec, rng) for c in cols}
+        rows.append(row)
+    return nrows, ncols, rows
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_rank_and_kernel_match_sympy(spec):
+    rng = random.Random(f"sympy/{spec.modulus}")
+    for _ in range(40):
+        nrows, ncols, rows = sparse_matrix_rows(spec, rng)
+        m = SparseMatrix.from_entries(
+            spec, nrows, ncols, ((i, j, v) for i, row in enumerate(rows) for j, v in row.items()))
+        dm = to_sympy(spec, nrows, ncols, rows)
+        r = rank(m)
+        assert r == dm.rank()
+        basis = kernel_basis(m)
+        nullity = dm.nullspace().shape[0]
+        assert len(basis) == nullity == ncols - r
+        if basis:
+            # our basis spans sympy's kernel: stacking both adds no rank
+            ours = [dict((i, el.value) for i, el in v.entries) for v in basis]
+            stacked = to_sympy(spec, nullity, ncols, ours).vstack(dm.nullspace())
+            assert stacked.rank() == nullity
