@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
     from .linalg import SparseMatrix
@@ -157,22 +157,44 @@ def support_graph(matrix: "SparseMatrix") -> SupportGraph:
 
 
 def max_matching(graph: SupportGraph) -> Matching:
-    """Maximum matching by augmenting paths, columns tried in index order."""
-    match_row: dict[int, int] = {}   # row -> col
+    """Maximum matching by augmenting paths, columns tried in index order.
 
-    def augment(col: int, banned: set[int]) -> bool:
-        for row in graph.adj[col]:
-            if row in banned:
+    Each search is a depth-first search on an explicit stack, so no path
+    length hits the recursion limit: rows are tried in sorted order, and a
+    row's owner is searched before the next row is tried.  Rows reached by
+    a failed search are dead (matched to columns whose neighbours are all
+    dead), so no augmenting path enters them and later searches skip them.
+    """
+    adj = graph.adj
+    match_row: dict[int, int] = {}   # row -> col
+    dead: set[int] = set()
+    for root in graph.left:
+        rows = adj[root]
+        if rows and rows[0] not in match_row:   # the search's first step
+            match_row[rows[0]] = root
+            continue
+        banned: set[int] = set()
+        col, todo = root, iter(rows)
+        stack: list[tuple[int, Iterator[int], int]] = []   # (col, rows left, row tried)
+        while True:
+            for row in todo:
+                if row not in banned and row not in dead:
+                    break
+            else:
+                if not stack:
+                    dead |= banned
+                    break
+                col, todo, _ = stack.pop()
                 continue
             banned.add(row)
             owner = match_row.get(row)
-            if owner is None or augment(owner, banned):
+            if owner is None:
                 match_row[row] = col
-                return True
-        return False
-
-    for col in graph.left:
-        augment(col, set())
+                for c, _, r in stack:
+                    match_row[r] = c
+                break
+            stack.append((col, todo, row))
+            col, todo = owner, iter(adj[owner])
     return Matching.checked(graph, ((j, i) for i, j in match_row.items()))
 
 

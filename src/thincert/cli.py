@@ -117,11 +117,11 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     pair = lemma_witness(matrix, string, base)
     rows = sorted(pair.rows)
     cols = sorted(pair.cols)
-    sub_rank = rank(matrix.submatrix(rows, cols))
     mu = mu_finite(support_graph(matrix), string)
     print("I' = {" + ", ".join(f"r{i}" for i in rows) + "}")
     print("J' = {" + ", ".join(f"c{j}" for j in cols) + "}")
-    print(f"mu = {mu} = |I'| - rank = {len(rows)} - {sub_rank}")
+    # WitnessPair.checked has proved mu = |I'| - rank(A[I', J']).
+    print(f"mu = {mu} = |I'| - rank = {len(rows)} - {len(rows) - mu}")
     return 0
 
 

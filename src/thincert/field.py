@@ -18,6 +18,8 @@ Raw = Union[Fraction, int]
 
 _SCALAR_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
+_new_element = object.__new__
+
 
 #: Miller-Rabin witnesses: the first 13 primes.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -132,7 +134,7 @@ class FieldSpec:
     def coerce(self, value: "int | Fraction | FieldElement") -> Raw:
         """Bring an int, Fraction, or same-field element into canonical raw form."""
         if isinstance(value, FieldElement):
-            if value.spec != self:
+            if value.spec is not self and value.spec != self:
                 raise ValueError(f"element of {value.spec!r} used with {self!r}")
             return value.value
         if self.modulus is None:
@@ -145,18 +147,27 @@ class FieldSpec:
 
     def parse_raw(self, text: str) -> Raw:
         """Parse ``-?digits(/digits)?`` into a canonical raw value."""
+        if text.isdecimal():
+            # An unsigned integer, the common case: isdecimal accepts exactly
+            # the digits that ``\d`` matches and ``int`` reads.
+            num = int(text)
+            return Fraction(num) if self.modulus is None else num % self.modulus
         m = _SCALAR_RE.fullmatch(text.strip())
         if m is None:
             raise ValueError(f"malformed scalar {text!r}")
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) is not None else 1
+        num_text, den_text = m.groups()
+        num = int(num_text)
+        den = int(den_text) if den_text is not None else 1
         if den == 0:
             raise ZeroDivisionError(f"zero denominator in scalar {text!r}")
-        if self.modulus is None:
+        p = self.modulus
+        if den == 1:
+            return Fraction(num) if p is None else num % p
+        if p is None:
             return Fraction(num, den)
-        if den % self.modulus == 0:
+        if den % p == 0:
             raise ZeroDivisionError(f"denominator of {text!r} vanishes in {self!r}")
-        return self.mul(num % self.modulus, self.inv(den % self.modulus))
+        return self.mul(num % p, self.inv(den % p))
 
     def render_raw(self, value: Raw) -> str:
         # str(Fraction) already emits the canonical "n" / "n/d" form.
@@ -174,6 +185,14 @@ class FieldElement:
     def __init__(self, spec: FieldSpec, value: Raw):
         self.spec = spec
         self.value = spec.coerce(value) if isinstance(value, int) else value
+
+    @staticmethod
+    def _canonical(spec: FieldSpec, value: Raw) -> "FieldElement":
+        """Box a raw value that is already canonical for ``spec``, unchecked."""
+        el = _new_element(FieldElement)
+        el.spec = spec
+        el.value = value
+        return el
 
     def _other_raw(self, other: object) -> Raw | None:
         if isinstance(other, FieldElement):
@@ -256,4 +275,4 @@ class FieldElement:
 
 def parse_scalar(text: str, spec: FieldSpec) -> FieldElement:
     """Parse a scalar literal into its canonical element of ``spec``."""
-    return FieldElement(spec, spec.parse_raw(text))
+    return FieldElement._canonical(spec, spec.parse_raw(text))

@@ -29,15 +29,18 @@ def _fail(lineno: int, why: str) -> None:
 
 
 def parse_matrix(text: str) -> SparseMatrix:
-    """Parse the line-oriented matrix format into a SparseMatrix."""
+    """Parse the line-oriented matrix format into a SparseMatrix.
+
+    Each scalar is parsed straight to its canonical raw value and boxed
+    once; the matrix is built from those elements without re-boxing.
+    """
     spec: FieldSpec | None = None
     dims: tuple[int, int] | None = None
-    entries: dict[tuple[int, int], FieldElement] = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw_line in lines:
+        parts = raw_line.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if spec is None:
             if parts[0] != "field":
                 _fail(lineno, "expected a 'field ...' header")
@@ -51,16 +54,26 @@ def parse_matrix(text: str) -> SparseMatrix:
             else:
                 _fail(lineno, f"unknown field {' '.join(parts[1:])!r}")
             continue
-        if dims is None:
-            if len(parts) != 2:
-                _fail(lineno, "expected '<rows> <cols>'")
-            try:
-                nr, nc = int(parts[0]), int(parts[1])
-            except ValueError:
-                _fail(lineno, "dimensions must be integers")
-            if nr < 0 or nc < 0:
-                _fail(lineno, "dimensions must be nonnegative")
-            dims = (nr, nc)
+        if len(parts) != 2:
+            _fail(lineno, "expected '<rows> <cols>'")
+        try:
+            dims = int(parts[0]), int(parts[1])
+        except ValueError:
+            _fail(lineno, "dimensions must be integers")
+        if dims[0] < 0 or dims[1] < 0:
+            _fail(lineno, "dimensions must be nonnegative")
+        break
+    if spec is None:
+        raise MatrixFormatError("missing 'field ...' header")
+    if dims is None:
+        raise MatrixFormatError("missing dimension line")
+    nr, nc = dims
+    parse_raw = spec.parse_raw
+    box = FieldElement._canonical
+    per_row: dict[int, dict[int, FieldElement]] = {}
+    for lineno, raw_line in lines:
+        parts = raw_line.split("#", 1)[0].split()
+        if not parts:
             continue
         if len(parts) != 3:
             _fail(lineno, "expected '<row> <col> <scalar>'")
@@ -68,22 +81,21 @@ def parse_matrix(text: str) -> SparseMatrix:
             i, j = int(parts[0]), int(parts[1])
         except ValueError:
             _fail(lineno, "row and column must be integers")
-        if not (0 <= i < dims[0] and 0 <= j < dims[1]):
-            _fail(lineno, f"entry ({i}, {j}) out of range for {dims[0]}x{dims[1]}")
-        if (i, j) in entries:
+        if not (0 <= i < nr and 0 <= j < nc):
+            _fail(lineno, f"entry ({i}, {j}) out of range for {nr}x{nc}")
+        cells = per_row.get(i)
+        if cells is None:
+            cells = per_row[i] = {}
+        elif j in cells:
             _fail(lineno, f"duplicate entry at ({i}, {j})")
         try:
-            el = parse_scalar(parts[2], spec)
+            value = parse_raw(parts[2])
         except (ValueError, ZeroDivisionError) as exc:
             _fail(lineno, str(exc))
-        if not el:
+        if value == 0:
             _fail(lineno, "explicit zero entries are not allowed")
-        entries[(i, j)] = el
-    if spec is None:
-        raise MatrixFormatError("missing 'field ...' header")
-    if dims is None:
-        raise MatrixFormatError("missing dimension line")
-    return SparseMatrix.from_entries(spec, dims[0], dims[1], entries)
+        cells[j] = box(spec, value)
+    return SparseMatrix._from_cells(spec, nr, nc, per_row)
 
 
 def render_matrix(matrix: SparseMatrix) -> str:

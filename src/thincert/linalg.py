@@ -37,13 +37,14 @@ class Vector:
     entries: tuple[tuple[int, FieldElement], ...]
 
     def __post_init__(self) -> None:
+        spec = self.spec
         prev = -1
         for idx, el in self.entries:
             if not 0 <= idx < self.length:
                 raise ValueError(f"index {idx} out of range for length {self.length}")
             if idx <= prev:
                 raise ValueError("entries must be strictly increasing by index")
-            if el.spec != self.spec:
+            if el.spec is not spec and el.spec != spec:
                 raise ValueError("entry from a different field")
             if not el:
                 raise ValueError("explicit zero entry")
@@ -57,7 +58,8 @@ class Vector:
             if idx in cells:
                 raise ValueError(f"duplicate index {idx}")
             cells[idx] = spec.coerce(val)
-        ent = tuple((i, FieldElement(spec, v)) for i, v in sorted(cells.items()) if v != 0)
+        box = FieldElement._canonical
+        ent = tuple((i, box(spec, v)) for i, v in sorted(cells.items()) if v != 0)
         return cls(spec, length, ent)
 
     @classmethod
@@ -128,14 +130,15 @@ class SparseMatrix:
             raise ValueError("negative dimension")
         if len(self.rows) != self.num_rows:
             raise ValueError("row count does not match num_rows")
+        spec, num_cols = self.spec, self.num_cols
         for row in self.rows:
             prev = -1
             for col, el in row:
-                if not 0 <= col < self.num_cols:
+                if not 0 <= col < num_cols:
                     raise ValueError(f"column {col} out of range")
                 if col <= prev:
                     raise ValueError("row entries must be strictly increasing by column")
-                if el.spec != self.spec:
+                if el.spec is not spec and el.spec != spec:
                     raise ValueError("entry from a different field")
                 if not el:
                     raise ValueError("explicit zero entry")
@@ -158,10 +161,18 @@ class SparseMatrix:
             if j in cells:
                 raise ValueError(f"duplicate entry at ({i}, {j})")
             cells[j] = spec.coerce(v)
-        rows = tuple(
-            tuple((j, FieldElement(spec, v))
-                  for j, v in sorted(per_row.get(i, {}).items()) if v != 0)
-            for i in range(num_rows))
+        box = FieldElement._canonical
+        return cls._from_cells(spec, num_rows, num_cols, {
+            i: {j: box(spec, v) for j, v in cells.items() if v != 0}
+            for i, cells in per_row.items()})
+
+    @classmethod
+    def _from_cells(cls, spec: FieldSpec, num_rows: int, num_cols: int,
+                    per_row: Mapping[int, Mapping[int, FieldElement]]) -> "SparseMatrix":
+        """The matrix of ``{row: {col: nonzero element}}`` cells, each row
+        sorted by column; the elements are used as they are, not re-boxed."""
+        empty: dict[int, FieldElement] = {}
+        rows = tuple(tuple(sorted(per_row.get(i, empty).items())) for i in range(num_rows))
         return cls(spec, num_rows, num_cols, rows)
 
     @classmethod
@@ -214,9 +225,12 @@ class SparseMatrix:
         return Vector(self.spec, self.num_rows, tuple(pairs))
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix.from_entries(
-            self.spec, self.num_cols, self.num_rows,
-            ((j, i, el) for i, j, el in self.nonzeros()))
+        # Rows are visited in index order, so each column list comes out sorted.
+        cols: list[list[tuple[int, FieldElement]]] = [[] for _ in range(self.num_cols)]
+        for i, row in enumerate(self.rows):
+            for j, el in row:
+                cols[j].append((i, el))
+        return SparseMatrix(self.spec, self.num_cols, self.num_rows, tuple(map(tuple, cols)))
 
     def submatrix(self, row_ids: Sequence[int], col_ids: Sequence[int]) -> "SparseMatrix":
         """Restriction to the given original rows and columns, reindexed densely."""
@@ -226,16 +240,15 @@ class SparseMatrix:
                 raise ValueError(f"duplicate column {j}")
             col_pos[j] = pos
         seen_rows = set()
-        entries = {}
-        for pos, i in enumerate(row_ids):
+        rows = []
+        for i in row_ids:
             if i in seen_rows:
                 raise ValueError(f"duplicate row {i}")
             seen_rows.add(i)
-            for j, el in self.rows[i]:
-                p = col_pos.get(j)
-                if p is not None:
-                    entries[(pos, p)] = el
-        return SparseMatrix.from_entries(self.spec, len(row_ids), len(col_ids), entries)
+            cells = [(p, el) for j, el in self.rows[i] if (p := col_pos.get(j)) is not None]
+            cells.sort()
+            rows.append(tuple(cells))
+        return SparseMatrix(self.spec, len(row_ids), len(col_ids), tuple(rows))
 
     def mul_vector(self, v: Vector) -> Vector:
         """A @ v for a column vector over the columns."""

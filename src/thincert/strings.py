@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .bigraph import SupportGraph, Vertex, support_graph
-from .linalg import SparseMatrix, Vector, rank, solve, unsolvable_core
+from .elimination import Eliminator
+from .field import Raw
+from .linalg import SparseMatrix, Vector, rank, solve
 
 __all__ = [
     "MuValue",
@@ -261,11 +263,14 @@ def lemma_witness(matrix: SparseMatrix, string: SaturatedString,
 
     Every row entry joins the witness row set without changing the rank of
     the restriction (its earlier-column entries are all zero).  Every column
-    entry must be independent of the earlier listed columns on the listed
-    rows: the corresponding system is solved, its refutation certificate's
-    core is folded in, and the rank steps up by one.  If some column turns
-    out dependent instead, the solution is converted into a kernel vector of
-    the full matrix and raised as a ``DependentColumnsError``.
+    entry must be independent of the earlier listed columns: the columns are
+    fed, as vectors over the rows, into one elimination, and since each
+    one's support lies inside the rows listed before it, the rank steps up
+    by one exactly when it is independent.  If some column turns out
+    dependent instead, the sub-system on the listed rows and earlier columns
+    is solved once, and its unique solution is converted into a kernel
+    vector of the full matrix, verified, and raised as a
+    ``DependentColumnsError``.
     """
     graph = support_graph(matrix)
     if not is_saturated(graph, string):
@@ -278,6 +283,13 @@ def lemma_witness(matrix: SparseMatrix, string: SaturatedString,
         if running < 0:
             raise ValueError(f"mu of the prefix of length {k} is negative")
         running = _step(running, v)
+    spec = matrix.spec
+    columns: dict[int, dict[int, Raw]] = {j: {} for j in string.col_range}
+    for i in string.row_range:
+        for j, el in matrix.rows[i]:
+            if j in columns:
+                columns[j][i] = el.value
+    elim = Eliminator(spec, track=False)
     listed_rows: list[int] = []
     listed_cols: list[int] = []
     for v in string.entries:
@@ -285,25 +297,25 @@ def lemma_witness(matrix: SparseMatrix, string: SaturatedString,
             listed_rows.append(v.index)
             continue
         j0 = v.index
+        column = columns[j0]
+        elim.feed(column, spec.zero)
+        if elim.rank > len(listed_cols):
+            listed_cols.append(j0)
+            continue
         rows_now = sorted(listed_rows)
         cols_now = sorted(listed_cols)
-        sub = matrix.submatrix(rows_now, cols_now)
-        colmap = matrix.column(j0).raw_cells()
-        rhs = Vector.from_pairs(matrix.spec, len(rows_now),
-                                ((pos, colmap[i]) for pos, i in enumerate(rows_now)
-                                 if i in colmap))
-        outcome = solve(sub, rhs)
-        if isinstance(outcome, Vector):
-            cells = {cols_now[pos]: el.value for pos, el in outcome.entries}
-            cells[j0] = matrix.spec.neg(matrix.spec.one)
-            lam = Vector.from_pairs(matrix.spec, matrix.num_cols, cells.items())
-            raise DependentColumnsError(
-                f"column c{j0} depends on the earlier listed columns", lam)
-        core_pos = unsolvable_core(sub, rhs)
-        core = {rows_now[pos] for pos in core_pos}
-        if not core <= set(listed_rows):
-            raise AssertionError("refutation core escaped the listed rows")
-        listed_cols.append(j0)
+        rhs = Vector.from_pairs(spec, len(rows_now),
+                                ((pos, column[i]) for pos, i in enumerate(rows_now)
+                                 if i in column))
+        outcome = solve(matrix.submatrix(rows_now, cols_now), rhs)
+        if not isinstance(outcome, Vector):
+            raise AssertionError(f"dependent column c{j0} has no solution on the listed rows")
+        cells = {cols_now[pos]: el.value for pos, el in outcome.entries}
+        cells[j0] = spec.neg(spec.one)
+        lam = Vector.from_pairs(spec, matrix.num_cols, cells.items())
+        if not matrix.mul_vector(lam).is_zero:
+            raise AssertionError("dependent-column kernel vector failed verification")
+        raise DependentColumnsError(f"column c{j0} depends on the earlier listed columns", lam)
     pair = WitnessPair.checked(matrix, string, listed_rows, listed_cols)
     if not base <= pair.rows:
         raise AssertionError("witness lost a required base row")

@@ -82,6 +82,60 @@ def test_max_matching_size_matches_brute_force():
         assert max_matching(g).size == gen.brute_max_matching_size(g)
 
 
+def _recursive_max_matching(graph):
+    """Reference: the augmenting-path search written recursively."""
+    match_row = {}
+
+    def augment(col, banned):
+        for row in graph.adj[col]:
+            if row in banned:
+                continue
+            banned.add(row)
+            owner = match_row.get(row)
+            if owner is None or augment(owner, banned):
+                match_row[row] = col
+                return True
+        return False
+
+    for col in graph.left:
+        augment(col, set())
+    return frozenset((j, i) for i, j in match_row.items())
+
+
+def _wide_block_graph(rng, ncols):
+    """Random blocks of columns over slightly fewer or more rows, shuffled."""
+    edges, col, row = [], 0, 0
+    while col < ncols:
+        bc = min(ncols - col, rng.randint(3, 12))
+        br = max(1, bc + rng.randint(-3, 2))
+        for j in range(bc):
+            for i in rng.sample(range(br), min(br, rng.randint(1, 3))):
+                edges.append((col + j, row + i))
+        col, row = col + bc, row + br
+    cp, rp = list(range(col)), list(range(row))
+    rng.shuffle(cp)
+    rng.shuffle(rp)
+    return SupportGraph(range(col), range(row), [(cp[j], rp[i]) for j, i in edges])
+
+
+def test_max_matching_follows_the_recursive_search():
+    rng = random.Random(333)
+    graphs = [gen.random_graph(rng) for _ in range(200)]
+    graphs += [_wide_block_graph(rng, rng.randint(20, 120)) for _ in range(60)]
+    for g in graphs:
+        assert max_matching(g).pairs == _recursive_max_matching(g)
+
+
+def test_max_matching_on_a_deep_staircase():
+    # Column j meets rows j-1 and j: the search from column j runs down
+    # through every earlier column before it takes row j, so the path is far
+    # deeper than the recursion limit.
+    n = 3000
+    g = SupportGraph(range(n), range(n),
+                     [(j, i) for j in range(n) for i in {max(j - 1, 0), j}])
+    assert max_matching(g).col_to_row == {j: j for j in range(n)}
+
+
 def test_hall_violator_dichotomy():
     rng = random.Random(333)
     saw_violator = saw_covering = False

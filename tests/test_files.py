@@ -117,3 +117,57 @@ def test_parse_stream_row_errors():
     for bad in ("1 0:1", "x ; 0:1", "1 ; 0", "1 ; a:1", "1 ; -1:1", "1 ; 0:x"):
         with pytest.raises(ValueError):
             parse_stream_row(bad, QQ)
+
+
+def test_parse_error_goldens():
+    cases = [
+        ("field rational\n1 1\n0 0 3/0\n", "line 3: zero denominator in scalar '3/0'"),
+        ("field gf 5\n1 1\n0 0 3/0\n", "line 3: zero denominator in scalar '3/0'"),
+        ("field gf 5\n1 1\n0 0 2/10\n",
+         "line 3: denominator of '2/10' vanishes in FieldSpec(gf 5)"),
+        ("field rational\n1 1\n0 0 0/5\n", "line 3: explicit zero entries are not allowed"),
+        ("field gf 7\n1 1\n0 0 0/5\n", "line 3: explicit zero entries are not allowed"),
+        ("field gf 5\n1 1\n\n# comment\n0 0 10\n",
+         "line 5: explicit zero entries are not allowed"),
+        ("field rational\n1 1\n0 0 +1\n", "line 3: malformed scalar '+1'"),
+        ("field gf 5\n1 1\n0 0 1_0\n", "line 3: malformed scalar '1_0'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(MatrixFormatError) as info:
+            parse_matrix(text)
+        assert str(info.value) == message
+
+
+def test_unit_denominator_parses_like_an_integer():
+    for head in ("field rational", "field gf 5", "field gf 1000003"):
+        plain = parse_matrix(f"{head}\n1 2\n0 0 7\n0 1 -3\n")
+        assert parse_matrix(f"{head}\n1 2\n0 0 7/1\n0 1 -3/1\n") == plain
+        assert render_matrix(parse_matrix(render_matrix(plain))) == render_matrix(plain)
+
+
+def test_integer_gfp_file_parses_without_inversions(monkeypatch):
+    rng = random.Random(31)
+    matrices = [gen.dependent_cols_matrix(FieldSpec.gf(p), rng, max_rows=12, max_cols=12)
+                for p in (2, 5, 1000003)]
+    texts = [render_matrix(m) for m in matrices]
+    calls = []
+    inv = FieldSpec.inv
+
+    def counted(self, a):
+        calls.append(a)
+        return inv(self, a)
+
+    monkeypatch.setattr(FieldSpec, "inv", counted)
+    assert [parse_matrix(t) for t in texts] == matrices
+    assert calls == []
+    parse_matrix("field gf 5\n1 1\n0 0 1/2\n")
+    assert calls == [2]
+
+
+def test_parsed_entries_are_canonical():
+    m = parse_matrix("field gf 5\n2 2\n0 0 7\n1 1 -1\n")
+    assert [(i, j, el.value) for i, j, el in m.nonzeros()] == [(0, 0, 2), (1, 1, 4)]
+    assert all(el.spec is m.spec for _, _, el in m.nonzeros())
+    q = parse_matrix("field rational\n1 1\n0 0 6/4\n")
+    assert q.entry(0, 0).value == Fraction(3, 2)
+    assert type(parse_matrix("field rational\n1 1\n0 0 3\n").entry(0, 0).value) is Fraction

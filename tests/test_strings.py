@@ -6,11 +6,12 @@ import random
 import pytest
 
 import gen
+import thincert.strings
 from thincert import (DependentColumnsError, FieldSpec, OmegaBlock,
-                      OrdinalString, SaturatedString, SparseMatrix, Vertex,
-                      WitnessPair, is_saturated, lemma_witness, mu_finite,
-                      mu_ordinal, parse_string_literal, parse_vertex, rank,
-                      support_graph, unlisted_rows_vanish)
+                      OrdinalString, SaturatedString, SparseMatrix, Vector,
+                      Vertex, WitnessPair, is_saturated, lemma_witness, mu_finite,
+                      mu_ordinal, parse_string_literal, parse_vertex, rank, solve,
+                      support_graph, unlisted_rows_vanish, unsolvable_core)
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.gf(2)
@@ -261,3 +262,91 @@ def test_lemma_witness_random_agreement():
                 continue
             sub = m.submatrix(sorted(pair.rows), sorted(pair.cols))
             assert mu_finite(g, s) == len(pair.rows) - rank(sub)
+
+
+def _three_solve_replay(matrix, string):
+    """Reference: the replay that solves one sub-system per listed column and
+    folds in its refutation core."""
+    listed_rows, listed_cols = [], []
+    for v in string.entries:
+        if v.is_row:
+            listed_rows.append(v.index)
+            continue
+        j0 = v.index
+        rows_now, cols_now = sorted(listed_rows), sorted(listed_cols)
+        sub = matrix.submatrix(rows_now, cols_now)
+        colmap = matrix.column(j0).raw_cells()
+        rhs = Vector.from_pairs(matrix.spec, len(rows_now),
+                                ((pos, colmap[i]) for pos, i in enumerate(rows_now)
+                                 if i in colmap))
+        outcome = solve(sub, rhs)
+        if isinstance(outcome, Vector):
+            cells = {cols_now[pos]: el.value for pos, el in outcome.entries}
+            cells[j0] = matrix.spec.neg(matrix.spec.one)
+            lam = Vector.from_pairs(matrix.spec, matrix.num_cols, cells.items())
+            return DependentColumnsError(
+                f"column c{j0} depends on the earlier listed columns", lam)
+        assert {rows_now[pos] for pos in unsolvable_core(sub, rhs)} <= set(listed_rows)
+        listed_cols.append(j0)
+    return WitnessPair.checked(matrix, string, listed_rows, listed_cols)
+
+
+def _outcome(matrix, string):
+    try:
+        return lemma_witness(matrix, string)
+    except DependentColumnsError as exc:
+        return exc
+
+
+def test_lemma_witness_matches_three_solve_replay():
+    rng = random.Random(4242)
+    dependent = 0
+    for spec in (GF2, GF5, QQ):
+        for t in range(40):
+            if t % 2:
+                m = gen.dependent_cols_matrix(spec, rng, max_rows=10, max_cols=10)
+            else:
+                m = gen.independent_cols_matrix(spec, rng, max_rows=10, max_cols=8)
+            s = gen.random_saturated_string(m, rng, stop=0.03)
+            got, want = _outcome(m, s), _three_solve_replay(m, s)
+            assert type(got) is type(want)
+            if isinstance(want, DependentColumnsError):
+                dependent += 1
+                assert str(got) == str(want)
+                assert got.kernel_vector == want.kernel_vector
+            else:
+                assert got == want
+    assert dependent >= 10
+
+
+def test_lemma_witness_solves_only_for_a_dependent_column(monkeypatch):
+    calls = []
+
+    def counted(matrix, rhs):
+        calls.append(matrix.num_cols)
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(thincert.strings, "solve", counted)
+    rng = random.Random(99)
+    for spec in (GF2, GF5, QQ):
+        m = gen.independent_cols_matrix(spec, rng, max_rows=12, max_cols=10)
+        s = gen.random_saturated_string(m, rng, stop=0.0)
+        assert lemma_witness(m, s).cols == s.col_range
+    assert calls == []
+    m = SparseMatrix.from_dense(QQ, [[1, 0, 1], [0, 1, 1]])
+    with pytest.raises(DependentColumnsError):
+        lemma_witness(m, SaturatedString.of("r0", "r1", "c0", "c1", "c2"))
+    assert calls == [2]
+
+
+def test_lemma_witness_verifies_the_dependent_column_vector(monkeypatch):
+    m = SparseMatrix.from_dense(QQ, [[1, 2], [1, 2]])
+    s = SaturatedString.of("r0", "r1", "c0", "c1")
+    with pytest.raises(DependentColumnsError) as info:
+        lemma_witness(m, s)
+    assert str(info.value.kernel_vector) == "2 -1"
+    # A wrong solution of the sub-system must not escape as a kernel vector.
+    monkeypatch.setattr(thincert.strings, "solve",
+                        lambda sub, rhs: Vector.from_dense(QQ, [3]))
+    with pytest.raises(AssertionError, match="verification"):
+        lemma_witness(m, s)
