@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .bigraph import (Matching, SupportGraph, cantor_bernstein_merge, hall_violator,
-                      max_matching, support_graph)
-from .linalg import SparseMatrix, Vector, kernel_basis
+from .bigraph import Matching, SupportGraph, hall_violator, max_matching, support_graph
+from .linalg import SparseMatrix, Vector, _first_kernel_vector
 
 __all__ = [
     "Sdr",
@@ -109,23 +108,23 @@ def certify_columns(matrix: SparseMatrix, via_violator: bool = False) -> Certifi
     fewer rows than columns) and extended by zeros; rows outside N(J0) carry
     no support on J0, so the extension is a genuine kernel vector.
     """
-    kern = kernel_basis(matrix)
-    graph = support_graph(matrix)
-    if not kern:
-        return Sdr.checked(matrix, _column_cover(graph).col_to_row)
+    kern = _first_kernel_vector(matrix)
+    if kern is None:
+        return Sdr.checked(matrix, _column_cover(support_graph(matrix)).col_to_row)
     if via_violator:
+        graph = support_graph(matrix)
         violator = hall_violator(graph)
         if violator is not None:
             rows = sorted(graph.neighbourhood(violator))
             cols = sorted(violator)
-            local = kernel_basis(matrix.submatrix(rows, cols))
-            if not local:
+            local = _first_kernel_vector(matrix.submatrix(rows, cols))
+            if local is None:
                 raise AssertionError("violator submatrix has fewer rows than columns "
                                      "yet a trivial kernel")
             lam = Vector.from_pairs(matrix.spec, matrix.num_cols,
-                                    ((cols[pos], el) for pos, el in local[0].entries))
+                                    ((cols[pos], el) for pos, el in local.entries))
             return Dependence.checked(matrix, lam, "col")
-    return Dependence.checked(matrix, kern[0], "col")
+    return Dependence.checked(matrix, kern, "col")
 
 
 def diagonalize(matrix: SparseMatrix) -> Bijection | Dependence:
@@ -136,15 +135,14 @@ def diagonalize(matrix: SparseMatrix) -> Bijection | Dependence:
     the transpose decides: dependent rows give the row-side vector;
     independent rows pin the rank to the row count, so a wide matrix has
     dependent columns and a square one has a trivial column kernel too.  One
-    maximum matching then covers both sides of the square matrix, and the
-    Cantor-Bernstein merge of it with itself validates it as a bijection.
+    maximum matching then covers the columns of the square matrix, and so
+    its rows too; ``Bijection.checked`` verifies it.  (The paper's merge of
+    a column-covering and a row-covering injection, ``cantor_bernstein_merge``,
+    would return that one matching unchanged.)
     """
-    row_kern = kernel_basis(matrix.transpose())
-    if row_kern:
-        return Dependence.checked(matrix, row_kern[0], "row")
+    row_kern = _first_kernel_vector(matrix.transpose())
+    if row_kern is not None:
+        return Dependence.checked(matrix, row_kern, "row")
     if matrix.num_rows != matrix.num_cols:
-        return Dependence.checked(matrix, kernel_basis(matrix)[0], "col")
-    graph = support_graph(matrix)
-    m = _column_cover(graph)
-    merged = cantor_bernstein_merge(graph, m, m)
-    return Bijection.checked(matrix, merged.col_to_row)
+        return Dependence.checked(matrix, _first_kernel_vector(matrix), "col")
+    return Bijection.checked(matrix, _column_cover(support_graph(matrix)).col_to_row)

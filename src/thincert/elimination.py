@@ -7,20 +7,41 @@ hands back a ready-made refutation combination.  Callers that only need the
 row space (rank, kernels) turn tracking off and skip that bookkeeping.
 Pivots are deterministic: rows are processed in arrival order and a
 surviving row pivots on its lowest column index.
+
+Over GF(p) pivot rows are scaled to a unit lead.  Over Q each row is cleared
+of denominators and eliminated fraction-free on primitive integer rows
+(``row = a*row - b*pivot``, then divided by the gcd of row, right-hand side
+and combination), so the inner loop is plain ``int`` arithmetic; a pivot row
+keeps a positive integer lead.  Every pivot row is proportional to its
+unit-lead form, so pivot columns, ``solution`` and ``reduced_pivots`` (which
+divide by the lead) and refutations (scaled to coefficient one on the row
+fed) are the same in both representations.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from typing import Iterable
 
 from .field import FieldSpec, Raw
+
+
+def _divided(row: dict[int, int], rhs: int, combo: dict[int, int],
+             g: int) -> tuple[dict[int, int], int, dict[int, int]]:
+    """An integer row, right-hand side and combination divided exactly by ``g``."""
+    return ({c: v // g for c, v in row.items()}, rhs // g,
+            {i: y // g for i, y in combo.items()})
 
 
 class ReducedRow:
     __slots__ = ("cells", "rhs", "combo")
 
     def __init__(self, cells: dict[int, Raw], rhs: Raw, combo: dict[int, Raw]):
-        self.cells = cells      # column -> value, pivot column min(cells) holds one
+        # column -> value; the pivot column min(cells) holds one over GF(p),
+        # a positive integer lead over Q (where every value is an int)
+        self.cells = cells
         self.rhs = rhs
         self.combo = combo      # original row index -> coefficient; {} untracked
 
@@ -49,10 +70,14 @@ class Eliminator:
 
         Returns the provenance combination (empty when untracked) when the
         row vanishes with a nonzero right-hand side (a contradiction), and
-        None otherwise.  A surviving row is registered as a new pivot, scaled
-        to a unit lead.  ``cells`` is never mutated.
+        None otherwise; a combination gives the row fed coefficient one.  A
+        surviving row is registered as a new pivot, scaled to a unit lead
+        over GF(p) and to a primitive integer row with a positive lead over
+        Q.  ``cells`` is never mutated.
         """
         spec = self.spec
+        if spec.modulus is None:
+            return self._feed_rational(cells, rhs)
         zero = spec.zero
         pivots = self.pivots
         k = self.rows_seen
@@ -106,13 +131,94 @@ class Eliminator:
             return combo
         return None
 
+    def _feed_rational(self, cells: dict[int, Raw], rhs: Raw) -> dict[int, Raw] | None:
+        """``feed`` over Q, fraction-free on integer rows."""
+        pivots = self.pivots
+        k = self.rows_seen
+        self.rows_seen = k + 1
+        den = lcm(rhs.denominator, *[v.denominator for v in cells.values()])
+        row = {c: n for c, v in cells.items() if (n := v.numerator * (den // v.denominator))}
+        rhs = rhs.numerator * (den // rhs.denominator)
+        # The integer row is ``den`` times the row fed.
+        combo: dict[int, int] = {k: den} if self.track else {}
+        g = gcd(*row.values(), rhs, *combo.values())
+        if g > 1:
+            row, rhs, combo = _divided(row, rhs, combo, g)
+        heap = [c for c in row if c in pivots]
+        heapify(heap)
+        while heap:
+            hit = heappop(heap)
+            b = row.pop(hit, None)
+            if b is None:
+                continue
+            piv = pivots[hit]
+            a = piv.cells[hit]
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+                rhs *= a
+                combo = {i: a * y for i, y in combo.items()}
+            for c, v in piv.cells.items():
+                if c == hit:
+                    continue
+                old = row.get(c)
+                if old is None:
+                    row[c] = -b * v
+                    if c in pivots:
+                        heappush(heap, c)
+                else:
+                    w = old - b * v
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
+            rhs -= b * piv.rhs
+            for i, y in piv.combo.items():
+                w = combo.get(i, 0) - b * y
+                if w:
+                    combo[i] = w
+                else:
+                    combo.pop(i, None)
+            g = gcd(*row.values(), rhs, *combo.values())
+            if g > 1:
+                row, rhs, combo = _divided(row, rhs, combo, g)
+        if row:
+            lead_col = min(row)
+            if row[lead_col] < 0:
+                row, rhs, combo = _divided(row, rhs, combo, -1)
+            pivots[lead_col] = ReducedRow(row, rhs, combo)
+            return None
+        if rhs == 0:
+            return None
+        if not self.track:
+            return {}
+        own = combo[k]
+        return {i: Fraction(y, own) for i, y in combo.items()}
+
     def solution(self) -> dict[int, Raw]:
         """Back-substitute a solution with every free variable set to zero."""
+        return self._back_substitute({}, self.pivots, homogeneous=False)
+
+    def kernel_vector(self, free: int) -> dict[int, Raw]:
+        """The kernel vector of the pivot rows (right-hand sides ignored) that
+        is one at the free column ``free`` and zero at every other free
+        column: the vector ``reduced_pivots`` gives for ``free``.  A pivot
+        row above ``free`` only meets columns where that vector is zero, so
+        only the pivots below ``free`` are back-substituted."""
+        return self._back_substitute({free: self.spec.one},
+                                     [c for c in self.pivots if c < free], homogeneous=True)
+
+    def _back_substitute(self, x: dict[int, Raw], cols: Iterable[int],
+                         homogeneous: bool) -> dict[int, Raw]:
+        """Fill ``x`` at the pivot columns ``cols``, highest first."""
         spec = self.spec
-        x: dict[int, Raw] = {}
-        for c in sorted(self.pivots, reverse=True):
+        rational = spec.modulus is None
+        for c in sorted(cols, reverse=True):
             r = self.pivots[c]
-            acc = r.rhs
+            acc = spec.zero if homogeneous else r.rhs
             for cc, v in r.cells.items():
                 if cc == c:
                     continue
@@ -120,7 +226,7 @@ class Eliminator:
                 if xv is not None:
                     acc = spec.sub(acc, spec.mul(v, xv))
             if acc != 0:
-                x[c] = acc
+                x[c] = Fraction(acc, r.cells[c]) if rational else acc
         return x
 
     def reduced_pivots(self) -> dict[int, dict[int, Raw]]:
@@ -130,9 +236,15 @@ class Eliminator:
         anything derived from it is canonical regardless of feed order.
         """
         spec = self.spec
+        rational = spec.modulus is None
         reduced: dict[int, dict[int, Raw]] = {}
         for c in sorted(self.pivots, reverse=True):
-            row = dict(self.pivots[c].cells)
+            cells = self.pivots[c].cells
+            if rational:
+                lead = cells[c]
+                row = {cc: Fraction(v, lead) for cc, v in cells.items()}
+            else:
+                row = dict(cells)
             for cc in [x for x in row if x != c and x in self.pivots]:
                 # cc > c, already reduced; its row has a unit lead and only
                 # free columns elsewhere, so no new pivot columns appear.

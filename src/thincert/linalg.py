@@ -357,6 +357,18 @@ def kernel_basis(matrix: SparseMatrix) -> list[Vector]:
     return basis
 
 
+def _first_kernel_vector(matrix: SparseMatrix) -> Vector | None:
+    """``kernel_basis(matrix)[0]`` without the rest of the basis, or None
+    when the kernel is trivial: only the lowest free column is
+    back-substituted.  It is not verified here; the certificate built from
+    it verifies it."""
+    elim, _ = _feed_all(matrix, None)
+    if elim.rank == matrix.num_cols:
+        return None
+    free = next(j for j in range(matrix.num_cols) if j not in elim.pivots)
+    return _normalized(matrix.spec, matrix.num_cols, elim.kernel_vector(free))
+
+
 def solve(matrix: SparseMatrix, rhs: Vector) -> Vector | UnsolvabilityCertificate:
     """Solve A x = b exactly, or certify that no solution exists.
 

@@ -243,3 +243,23 @@ def test_diagonalize_random_rectangular():
                 assert out == first_dependence(shaped)
                 sides.add(out.side)
     assert sides == {"row", "col"}
+
+
+def test_one_verification_per_returned_vector(monkeypatch):
+    """A dependence is found without building the whole kernel basis: the
+    certificate's own check is the only product with the matrix."""
+    products = []
+    mul_vector = SparseMatrix.mul_vector
+    monkeypatch.setattr(SparseMatrix, "mul_vector",
+                        lambda self, v: products.append(v) or mul_vector(self, v))
+    rng = random.Random(6666)
+    for spec in FIELDS:
+        for _ in range(10):
+            m = gen.dependent_cols_matrix(spec, rng, max_rows=9, max_cols=9)
+            calls = [lambda: certify_columns(m), lambda: certify_columns(m, via_violator=True),
+                     lambda: diagonalize(m), lambda: diagonalize(m.transpose())]
+            for call in calls:
+                products.clear()
+                out = call()
+                assert isinstance(out, Dependence)
+                assert products == [out.vector]

@@ -1,11 +1,13 @@
 """Incremental elimination: tracked and untracked runs, provenance, pivot order."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import gen
-from thincert import FieldSpec
+from thincert import AllPrefixesSolvable, FieldSpec, StreamState, UnsolvableAt
 from thincert.elimination import Eliminator
 
 QQ = FieldSpec.rationals()
@@ -72,8 +74,58 @@ def reference_feed(spec, pivots, k, cells, rhs):
     return combo if rhs != 0 else None
 
 
+def reference_solution(spec, pivots):
+    """Back-substitution on the reference pivots, free variables zero."""
+    x = {}
+    for c in sorted(pivots, reverse=True):
+        cells, rhs, _ = pivots[c]
+        acc = rhs
+        for cc, v in cells.items():
+            if cc != c and cc in x:
+                acc = spec.sub(acc, spec.mul(v, x[cc]))
+        if acc != 0:
+            x[c] = spec.div(acc, cells[c])
+    return x
+
+
+def reference_rref(spec, pivots):
+    """The reduced echelon rows of the reference pivots, with unit leads."""
+    reduced = {}
+    for c in sorted(pivots, reverse=True):
+        cells = pivots[c][0]
+        row = scaled(spec, cells, spec.inv(cells[c]))
+        for cc in [x for x in row if x != c and x in pivots]:
+            factor = row.pop(cc)
+            for c2, v2 in reduced[cc].items():
+                if c2 != cc:
+                    w = spec.sub(row.get(c2, spec.zero), spec.mul(factor, v2))
+                    if w == 0:
+                        row.pop(c2, None)
+                    else:
+                        row[c2] = w
+        reduced[c] = row
+    return reduced
+
+
 def scaled(spec, cells, factor):
     return {c: spec.mul(factor, v) for c, v in cells.items()}
+
+
+def unit_lead(spec, r, c):
+    """A stored pivot row as (cells, rhs, combo) scaled to a unit lead.
+
+    Over GF(p) the row is stored with a unit lead and is returned as it is.
+    Over Q it must be an integer row with a positive lead whose entries,
+    right-hand side and combination have no common factor; it is divided by
+    that lead."""
+    assert min(r.cells) == c
+    if spec.is_prime_field:
+        return r.cells, r.rhs, r.combo
+    values = [*r.cells.values(), r.rhs, *r.combo.values()]
+    assert all(type(v) is int for v in values)
+    assert r.cells[c] > 0 and gcd(*values) == 1
+    inv = Fraction(1, r.cells[c])
+    return scaled(spec, r.cells, inv), spec.mul(inv, r.rhs), scaled(spec, r.combo, inv)
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
@@ -92,32 +144,43 @@ def test_tracked_and_untracked_agree(spec):
         assert tracked.rank == untracked.rank
         assert tracked.pivots.keys() == untracked.pivots.keys()
         for c, r in untracked.pivots.items():
-            assert r.cells == tracked.pivots[c].cells
-            assert r.rhs == tracked.pivots[c].rhs
-            assert r.cells[c] == spec.one and min(r.cells) == c
-            assert r.combo == {}
+            cells, rhs, combo = unit_lead(spec, r, c)
+            tracked_cells, tracked_rhs, _ = unit_lead(spec, tracked.pivots[c], c)
+            assert cells == tracked_cells and rhs == tracked_rhs
+            assert cells[c] == spec.one
+            assert combo == {}
         assert tracked.reduced_pivots() == untracked.reduced_pivots()
         assert tracked.solution() == untracked.solution()
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_matches_scan_reduction(spec):
-    """The heap order and unit-lead pivots reproduce the scan-based reduction:
-    the same pivot columns, the same pivot rows up to their lead, and the
-    same refutation combinations."""
+    """The heap order and stored pivots (unit-lead over GF(p), primitive
+    integer over Q) reproduce the scan-based reduction: the same pivot
+    columns, the same pivot rows up to their lead, the same refutation
+    combinations, solution and reduced echelon rows."""
     rng = random.Random(f"scan/{spec.modulus}")
     for _ in range(25):
         rows = random_rows(spec, rng, rng.randint(1, 18), rng.randint(1, 12))
-        elim, ref = Eliminator(spec), {}
-        for k, (cells, rhs) in enumerate(rows):
-            assert elim.feed(cells, rhs) == reference_feed(spec, ref, k, cells, rhs)
-        assert elim.pivots.keys() == ref.keys()
-        for c, (cells, rhs, combo) in ref.items():
-            inv = spec.inv(cells[c])
-            r = elim.pivots[c]
-            assert r.cells == scaled(spec, cells, inv)
-            assert r.rhs == spec.mul(inv, rhs)
-            assert r.combo == scaled(spec, combo, inv)
+        assert_matches_reference(spec, rows)
+
+
+def assert_matches_reference(spec, rows):
+    elim, ref = Eliminator(spec), {}
+    for k, (cells, rhs) in enumerate(rows):
+        assert elim.feed(cells, rhs) == reference_feed(spec, ref, k, cells, rhs)
+    assert elim.pivots.keys() == ref.keys()
+    for c, (cells, rhs, combo) in ref.items():
+        inv = spec.inv(cells[c])
+        r_cells, r_rhs, r_combo = unit_lead(spec, elim.pivots[c], c)
+        assert r_cells == scaled(spec, cells, inv)
+        assert r_rhs == spec.mul(inv, rhs)
+        assert r_combo == scaled(spec, combo, inv)
+    x, rref = elim.solution(), elim.reduced_pivots()
+    assert x == reference_solution(spec, ref)
+    assert rref == reference_rref(spec, ref)
+    if not spec.is_prime_field:
+        assert all(type(v) is Fraction for row in [x, *rref.values()] for v in row.values())
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
@@ -153,3 +216,87 @@ def test_feed_leaves_its_input_unchanged(spec, track):
         before = dict(cells)
         elim.feed(cells, rhs)
         assert cells == before
+
+
+def big_fraction(rng, bits=40):
+    return Fraction(rng.choice([-1, 1]) * (rng.getrandbits(bits) | 1),
+                    rng.getrandbits(bits) | 1)
+
+
+def big_rows(rng, nrows, ncols):
+    """Rational rows with numerators and denominators of about 40 bits, some
+    of them combinations of earlier rows with a kept or perturbed rhs."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:
+            cells, rhs = {}, Fraction(0)
+            for _ in range(2):
+                f = big_fraction(rng)
+                src, b = rows[rng.randrange(len(rows))]
+                for c, v in src.items():
+                    cells[c] = cells.get(c, 0) + f * v
+                rhs += f * b
+            cells = {c: v for c, v in cells.items() if v != 0}
+            if rng.random() < 0.3:
+                rhs += big_fraction(rng)
+        else:
+            cols = rng.sample(range(ncols), rng.randint(1, min(5, ncols)))
+            cells = {c: big_fraction(rng) for c in cols}
+            rhs = big_fraction(rng)
+        rows.append((cells, rhs))
+    return rows
+
+
+def test_rational_large_entries_match_reference():
+    rng = random.Random("big")
+    negative_leads = refutations = 0
+    for _ in range(20):
+        rows = big_rows(rng, rng.randint(2, 14), rng.randint(1, 9))
+        negative_leads += sum(1 for cells, _ in rows if cells and cells[min(cells)] < 0)
+        assert_matches_reference(QQ, rows)
+        elim = Eliminator(QQ, track=False)
+        refutations += sum(elim.feed(cells, rhs) is not None for cells, rhs in rows)
+    assert negative_leads > 10 and refutations > 0
+
+
+def test_rational_rhs_alone_carries_a_denominator():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    rows = [({0: Fraction(-2), 1: Fraction(4)}, third),
+            ({1: Fraction(3), 2: Fraction(-6)}, Fraction(0)),
+            ({0: Fraction(1), 1: Fraction(-2)}, half),           # -1/2 times row 0, wrong rhs
+            ({0: Fraction(-1), 2: Fraction(5)}, Fraction(5, 7))]
+    assert_matches_reference(QQ, rows)
+    elim = Eliminator(QQ)
+    assert elim.feed(*rows[0]) is None
+    assert elim.feed(*rows[1]) is None
+    # 3 * row 0 clears the rhs denominator; the lead then turns positive
+    piv = elim.pivots[0]
+    assert (piv.cells, piv.rhs, piv.combo) == ({0: 6, 1: -12}, -1, {0: -3})
+    refutation = elim.feed(*rows[2])
+    assert refutation == {0: half, 2: Fraction(1)}
+    assert all(type(y) is Fraction for y in refutation.values())
+    assert elim.feed(*rows[3]) is None
+    x = elim.solution()
+    assert all(type(v) is Fraction for v in x.values())
+    for cells, rhs in (rows[0], rows[1], rows[3]):
+        assert sum(v * x.get(c, 0) for c, v in cells.items()) == rhs
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_rational_stream_latches_like_fraction_replay(big):
+    """A Q ``StreamState`` latches at the prefix, and with the core, that a
+    replay of the same rows through the Fraction reference gives."""
+    rng = random.Random(f"stream/{big}")
+    latched = 0
+    for _ in range(30):
+        nrows, ncols = rng.randint(2, 16), rng.randint(1, 8)
+        rows = big_rows(rng, nrows, ncols) if big else random_rows(QQ, rng, nrows, ncols)
+        st, ref, expect = StreamState(QQ), {}, AllPrefixesSolvable()
+        for k, (cells, rhs) in enumerate(rows):
+            st.push(cells.items(), rhs)
+            combo = reference_feed(QQ, ref, k, cells, rhs)
+            if combo is not None and expect == AllPrefixesSolvable():
+                expect = UnsolvableAt(k + 1, frozenset(combo))
+            assert st.status == expect
+        latched += not st.is_solvable
+    assert latched >= 5

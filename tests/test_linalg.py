@@ -8,6 +8,7 @@ import pytest
 import gen
 from thincert import (FieldSpec, SparseMatrix, UnsolvabilityCertificate, Vector,
                       kernel_basis, rank, solve, unsolvable_core)
+from thincert.linalg import _first_kernel_vector
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.gf(2)
@@ -209,6 +210,26 @@ def test_kernel_basis_vectors_are_normalized_and_annihilated():
                 assert m.mul_vector(v).is_zero
                 assert v.get(min(v.support)) == 1
             assert len(set(basis)) == len(basis)
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_first_kernel_vector_is_the_first_basis_vector(spec):
+    rng = random.Random(f"first-kernel/{spec.modulus}")
+    seen = set()
+    for shape in ("wide", "square", "tall"):
+        for _ in range(40):
+            n = rng.randint(1, 10)
+            k = rng.randint(1, 4)
+            nrows, ncols = {"wide": (n, n + k), "square": (n, n), "tall": (n + k, n)}[shape]
+            density = rng.choice([0.15, 0.3, 0.6])
+            entries = {(i, j): gen.rand_nonzero(spec, rng)
+                       for i in range(nrows) for j in range(ncols) if rng.random() < density}
+            m = SparseMatrix.from_entries(spec, nrows, ncols, entries)
+            basis = kernel_basis(m)
+            assert _first_kernel_vector(m) == (basis[0] if basis else None)
+            seen.add((shape, bool(basis)))
+    assert seen == {(s, b) for s in ("wide", "square", "tall") for b in (True, False)} - {
+        ("wide", False)}
 
 
 def test_solve_results_verify_densely():

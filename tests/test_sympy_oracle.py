@@ -5,11 +5,12 @@ sparse domain matrices give an independent computation over the same fields.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 import gen
-from thincert import FieldSpec, SparseMatrix, kernel_basis, rank
+from thincert import FieldSpec, SparseMatrix, Vector, kernel_basis, rank, solve
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -63,3 +64,36 @@ def test_rank_and_kernel_match_sympy(spec):
             ours = [dict((i, el.value) for i, el in v.entries) for v in basis]
             stacked = to_sympy(spec, nullity, ncols, ours).vstack(dm.nullspace())
             assert stacked.rank() == nullity
+
+
+def test_hilbert_matrices_match_sympy():
+    """Dense rational systems whose elimination grows entries: the 10x10
+    Hilbert matrix, and the same with an eleventh column that is a
+    combination of the others, so the kernel is a line."""
+    qq = FieldSpec.rationals()
+    n = 10
+    hilbert = [{j: Fraction(1, i + j + 1) for j in range(n)} for i in range(n)]
+    b = [Fraction(i + 1, 7) for i in range(n)]
+    m = SparseMatrix.from_entries(
+        qq, n, n, ((i, j, v) for i, row in enumerate(hilbert) for j, v in row.items()))
+    dm = to_sympy(qq, n, n, hilbert)
+    assert rank(m) == dm.rank() == n
+    assert kernel_basis(m) == []
+    x = solve(m, Vector.from_dense(qq, b))
+    expect = dm.lu_solve(DomainMatrix([[sympy.QQ(v.numerator, v.denominator)] for v in b],
+                                      (n, 1), sympy.QQ))
+    assert [el.value for el in x.to_dense()] == [
+        Fraction(int(v.numerator), int(v.denominator)) for v in expect.to_Matrix()]
+
+    wide = [{**row, n: 3 * row[2] - row[7] / 5} for row in hilbert]
+    m = SparseMatrix.from_entries(
+        qq, n, n + 1, ((i, j, v) for i, row in enumerate(wide) for j, v in row.items()))
+    dm = to_sympy(qq, n, n + 1, wide)
+    assert rank(m) == dm.rank() == n
+    (vec,) = kernel_basis(m)
+    (theirs,) = dm.nullspace().to_Matrix().tolist()
+    lead = next(v for v in theirs if v != 0)
+    assert [el.value for el in vec.to_dense()] == [
+        Fraction(int((v / lead).p), int((v / lead).q)) for v in theirs]
+    # column n is the only free one, so the solution is x padded with zero
+    assert solve(m, Vector.from_dense(qq, b)) == Vector.from_pairs(qq, n + 1, x.entries)
