@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .linalg import SparseMatrix
@@ -28,18 +28,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
+class Vertex(NamedTuple("Vertex", [("side", str), ("index", int)])):
     """A side-tagged vertex: ``c`` for a column (left), ``r`` for a row (right)."""
 
-    side: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.side not in ("r", "c"):
-            raise ValueError(f"vertex side must be 'r' or 'c', got {self.side!r}")
-        if self.index < 0:
+    def __new__(cls, side: str, index: int) -> "Vertex":
+        if side not in ("r", "c"):
+            raise ValueError(f"vertex side must be 'r' or 'c', got {side!r}")
+        if index < 0:
             raise ValueError("vertex index must be nonnegative")
+        return tuple.__new__(cls, (side, index))
 
     @classmethod
     def col(cls, j: int) -> "Vertex":
@@ -64,32 +63,30 @@ class Vertex:
 class SupportGraph:
     """Bipartite graph with column vertices on the left, row vertices on the right."""
 
-    __slots__ = ("left", "right", "adj", "radj", "edges")
+    __slots__ = ("left", "right", "adj", "radj")
 
     def __init__(self, left: Iterable[int], right: Iterable[int],
                  edges: Iterable[tuple[int, int]]):
-        self.left = tuple(sorted(set(left)))
-        self.right = tuple(sorted(set(right)))
-        lset, rset = set(self.left), set(self.right)
-        adj: dict[int, set[int]] = {j: set() for j in self.left}
-        radj: dict[int, set[int]] = {i: set() for i in self.right}
-        eset = set()
+        cols = set(left)
+        rows: dict[int, set[int]] = {i: set() for i in sorted(set(right))}
         for j, i in edges:
-            if j not in lset:
+            if j not in cols:
                 raise ValueError(f"edge endpoint c{j} is not a left vertex")
-            if i not in rset:
+            if i not in rows:
                 raise ValueError(f"edge endpoint r{i} is not a right vertex")
-            adj[j].add(i)
-            radj[i].add(j)
-            eset.add((j, i))
-        self.adj = {j: tuple(sorted(s)) for j, s in adj.items()}
-        self.radj = {i: tuple(sorted(s)) for i, s in radj.items()}
-        self.edges = frozenset(eset)
+            rows[i].add(j)
+        self._index(sorted(cols), {i: tuple(sorted(s)) for i, s in rows.items()})
 
-    @classmethod
-    def from_matrix(cls, matrix: "SparseMatrix") -> "SupportGraph":
-        return cls(range(matrix.num_cols), range(matrix.num_rows),
-                   ((j, i) for i, j, _ in matrix.nonzeros()))
+    def _index(self, left: Iterable[int], radj: dict[int, tuple[int, ...]]) -> None:
+        """Index sorted columns and rows; rows ascend, each a sorted tuple of columns."""
+        adj: dict[int, list[int]] = {j: [] for j in left}
+        for i, js in radj.items():
+            for j in js:
+                adj[j].append(i)
+        self.left = tuple(adj)
+        self.right = tuple(radj)
+        self.adj = {j: tuple(rows) for j, rows in adj.items()}
+        self.radj = radj
 
     def neighbours(self, col: int) -> tuple[int, ...]:
         return self.adj[col]
@@ -104,7 +101,7 @@ class SupportGraph:
         return frozenset(out)
 
     def has_edge(self, col: int, row: int) -> bool:
-        return (col, row) in self.edges
+        return row in self.adj.get(col, ())
 
     def has_vertex(self, v: Vertex) -> bool:
         return v.index in (self.adj if v.is_col else self.radj)
@@ -121,7 +118,7 @@ class Matching:
         ps = frozenset(pairs)
         cols_seen, rows_seen = set(), set()
         for j, i in ps:
-            if (j, i) not in graph.edges:
+            if not graph.has_edge(j, i):
                 raise ValueError(f"(c{j}, r{i}) is not an edge")
             if j in cols_seen or i in rows_seen:
                 raise ValueError(f"vertex reused at (c{j}, r{i})")
@@ -153,7 +150,10 @@ class Matching:
 
 def support_graph(matrix: "SparseMatrix") -> SupportGraph:
     """The bipartite graph whose edges are the nonzero positions of the matrix."""
-    return SupportGraph.from_matrix(matrix)
+    graph = SupportGraph.__new__(SupportGraph)
+    graph._index(range(matrix.num_cols),
+                 {i: tuple([j for j, _ in row]) for i, row in enumerate(matrix.rows)})
+    return graph
 
 
 def max_matching(graph: SupportGraph) -> Matching:

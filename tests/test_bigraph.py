@@ -1,6 +1,7 @@
 """Support graphs, matchings, covering failures, and the two-sided merge."""
 
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from thincert import (FieldSpec, Matching, SparseMatrix, SupportGraph, Vertex,
 
 GF2 = FieldSpec.gf(2)
 QQ = FieldSpec.rationals()
+FIELDS = [GF2, FieldSpec.gf(5), QQ]
 
 
 # --------------------------------------------------------------------------
@@ -22,16 +24,24 @@ def test_vertex_basics():
     assert c.is_col and not c.is_row
     assert str(c) == "c3" and str(r) == "r0"
     assert Vertex.col(1) == Vertex.col(1) != Vertex.row(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("vertex side must be 'r' or 'c', got 'x'")):
         Vertex("x", 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vertex index must be nonnegative$"):
         Vertex.col(-1)
+    # a (side, index) tuple: same repr, order and hash as that tuple
+    assert repr(c) == "Vertex(side='c', index=3)" and Vertex("r", 0) == r
+    assert Vertex.col(2) == ("c", 2) and tuple(Vertex.row(4)) == ("r", 4)
+    rng = random.Random(99)
+    vs = [Vertex(rng.choice("rc"), rng.randrange(12)) for _ in range(60)]
+    assert [tuple(v) for v in sorted(vs)] == sorted((v.side, v.index) for v in vs)
+    assert all(hash(v) == hash((v.side, v.index)) for v in vs)
+    assert len(set(vs)) == len({(v.side, v.index) for v in vs})
 
 
 def test_graph_membership_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge endpoint c1 is not a left vertex$"):
         SupportGraph([0], [0], [(1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge endpoint r5 is not a right vertex$"):
         SupportGraph([0], [0], [(0, 5)])
 
 
@@ -44,7 +54,30 @@ def test_graph_from_matrix():
     assert g.co_neighbours(1) == (0, 1)
     assert g.neighbourhood([0, 1]) == frozenset({0, 1, 2})
     assert g.has_edge(0, 1) and not g.has_edge(0, 2)
+    assert not g.has_edge(2, 0) and not g.has_edge(-1, 0)   # unknown columns
     assert g.has_vertex(Vertex.col(1)) and not g.has_vertex(Vertex.row(3))
+
+
+def test_support_graph_equals_the_edge_constructor():
+    # support_graph indexes the matrix rows directly; SupportGraph(left,
+    # right, edges) validates, dedupes and sorts: both must give one graph.
+    rng = random.Random(777)
+    shapes = [(0, 0), (0, 5), (5, 0)]
+    shapes += [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(200 - len(shapes))]
+    for k, (nr, nc) in enumerate(shapes):
+        spec = FIELDS[k % len(FIELDS)]
+        density = rng.choice([0.0, 0.1, 0.3, 0.7])
+        entries = {(i, j): gen.rand_nonzero(spec, rng)
+                   for i in range(nr) for j in range(nc) if rng.random() < density}
+        g = support_graph(SparseMatrix.from_entries(spec, nr, nc, entries))
+        edges = [(j, i) for i, j in entries] * 2
+        rng.shuffle(edges)
+        ref = SupportGraph(range(nc), range(nr), edges)
+        assert (g.left, g.right, g.adj, g.radj) == (ref.left, ref.right, ref.adj, ref.radj)
+        assert g.adj == {j: tuple(i for i in range(nr) if (i, j) in entries) for j in range(nc)}
+        assert g.radj == {i: tuple(j for j in range(nc) if (i, j) in entries) for i in range(nr)}
+        for j, i in edges[:5]:
+            assert g.has_edge(j, i)
 
 
 # --------------------------------------------------------------------------
@@ -54,12 +87,16 @@ def test_matching_checked_validation():
     g = SupportGraph([0, 1], [0, 1], [(0, 0), (0, 1), (1, 1)])
     ok = Matching.checked(g, [(0, 0), (1, 1)])
     assert ok.size == 2 and ok.is_perfect(g)
-    with pytest.raises(ValueError):
-        Matching.checked(g, [(1, 0)])  # not an edge
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("(c1, r0) is not an edge")):
+        Matching.checked(g, [(1, 0)])
+    with pytest.raises(ValueError, match=re.escape("(c5, r0) is not an edge")):
+        Matching.checked(g, [(5, 0)])  # unknown column
+    with pytest.raises(ValueError) as exc:
         Matching.checked(g, [(0, 1), (1, 1)])  # row used twice
-    with pytest.raises(ValueError):
+    assert str(exc.value) in ("vertex reused at (c0, r1)", "vertex reused at (c1, r1)")
+    with pytest.raises(ValueError) as exc:
         Matching.checked(g, [(0, 0), (0, 1)])  # column used twice
+    assert str(exc.value) in ("vertex reused at (c0, r0)", "vertex reused at (c0, r1)")
 
 
 def test_max_matching_worked_example():
