@@ -206,9 +206,9 @@ def hall_violator(graph: SupportGraph) -> frozenset[int] | None:
     neighbourhood consists exactly of the matched partners it traps.
     """
     m = max_matching(graph)
-    col_to_row = m.col_to_row
-    row_to_col = m.row_to_col
-    exposed = [j for j in graph.left if j not in col_to_row]
+    row_to_col = {i: j for j, i in m.pairs}
+    matched = set(row_to_col.values())
+    exposed = [j for j in graph.left if j not in matched]
     if not exposed:
         return None
     reach_cols = set(exposed)
@@ -247,7 +247,7 @@ def deficiency_string(graph: SupportGraph, violator: Iterable[int]) -> "Saturate
     hood = sorted(graph.neighbourhood(j0))
     if not len(hood) < len(j0):
         raise ValueError("given set does not violate the covering condition")
-    entries = tuple([Vertex.row(i) for i in hood] + [Vertex.col(j) for j in j0])
+    entries = tuple([Vertex("r", i) for i in hood] + [Vertex("c", j) for j in j0])
     return SaturatedString(entries)
 
 

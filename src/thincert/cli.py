@@ -117,7 +117,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     pair = lemma_witness(matrix, string, base)
     rows = sorted(pair.rows)
     cols = sorted(pair.cols)
-    mu = mu_finite(support_graph(matrix), string)
+    # lemma_witness has checked the string's vertices against the matrix.
+    mu = len(string.row_range) - len(string.col_range)
     print("I' = {" + ", ".join(f"r{i}" for i in rows) + "}")
     print("J' = {" + ", ".join(f"c{j}" for j in cols) + "}")
     # WitnessPair.checked has proved mu = |I'| - rank(A[I', J']).

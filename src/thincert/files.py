@@ -31,8 +31,8 @@ def _fail(lineno: int, why: str) -> None:
 def parse_matrix(text: str) -> SparseMatrix:
     """Parse the line-oriented matrix format into a SparseMatrix.
 
-    Each scalar is parsed straight to its canonical raw value and boxed
-    once; the matrix is built from those elements without re-boxing.
+    Each distinct scalar token is parsed and boxed once, so equal tokens
+    share one immutable element; the matrix is built without re-boxing.
     """
     spec: FieldSpec | None = None
     dims: tuple[int, int] | None = None
@@ -68,17 +68,19 @@ def parse_matrix(text: str) -> SparseMatrix:
     if dims is None:
         raise MatrixFormatError("missing dimension line")
     nr, nc = dims
-    parse_raw = spec.parse_raw
-    box = FieldElement._canonical
     per_row: dict[int, dict[int, FieldElement]] = {}
+    boxed: dict[str, FieldElement] = {}
     for lineno, raw_line in lines:
-        parts = raw_line.split("#", 1)[0].split()
-        if not parts:
-            continue
+        if "#" in raw_line:
+            raw_line = raw_line.split("#", 1)[0]
+        parts = raw_line.split()
         if len(parts) != 3:
+            if not parts:
+                continue
             _fail(lineno, "expected '<row> <col> <scalar>'")
+        row_text, col_text, token = parts
         try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = int(row_text), int(col_text)
         except ValueError:
             _fail(lineno, "row and column must be integers")
         if not (0 <= i < nr and 0 <= j < nc):
@@ -88,13 +90,15 @@ def parse_matrix(text: str) -> SparseMatrix:
             cells = per_row[i] = {}
         elif j in cells:
             _fail(lineno, f"duplicate entry at ({i}, {j})")
-        try:
-            value = parse_raw(parts[2])
-        except (ValueError, ZeroDivisionError) as exc:
-            _fail(lineno, str(exc))
-        if value == 0:
-            _fail(lineno, "explicit zero entries are not allowed")
-        cells[j] = box(spec, value)
+        el = boxed.get(token)
+        if el is None:
+            try:
+                el = boxed[token] = parse_scalar(token, spec)
+            except (ValueError, ZeroDivisionError) as exc:
+                _fail(lineno, str(exc))
+            if el.value == 0:
+                _fail(lineno, "explicit zero entries are not allowed")
+        cells[j] = el
     return SparseMatrix._from_cells(spec, nr, nc, per_row)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Container, Iterable, Sequence, Union
 
 from .bigraph import SupportGraph, Vertex, support_graph
 from .elimination import Eliminator
@@ -142,26 +142,32 @@ def parse_string_literal(text: str) -> SaturatedString | OrdinalString:
     return OrdinalString(tuple(blocks), tail)
 
 
-def _require_vertices(graph: SupportGraph, entries: Iterable[Vertex]) -> None:
-    for v in entries:
-        if not graph.has_vertex(v):
-            raise ValueError(f"vertex {v} is not in the graph")
+def _require_vertices(entries: Iterable[Vertex], rows: Container[int],
+                      cols: Container[int]) -> int:
+    """Raise on the first entry whose index is not among ``rows`` (row entries)
+    or ``cols`` (column entries); return mu, the row entries less the columns."""
+    mu = 0
+    for side, index in entries:
+        mu += 1 if side == "r" else -1
+        if index not in (rows if side == "r" else cols):
+            raise ValueError(f"vertex {side}{index} is not in the graph")
+    return mu
 
 
 def is_saturated(graph: SupportGraph, string: SaturatedString | Sequence[Vertex]) -> bool:
     """True iff the entries are distinct and every listed column's neighbourhood
     appears earlier in the string."""
     entries = tuple(string.entries if isinstance(string, SaturatedString) else string)
-    _require_vertices(graph, entries)
+    adj = graph.adj
+    _require_vertices(entries, graph.radj, adj)
     if len(set(entries)) != len(entries):
         return False
     earlier_rows: set[int] = set()
-    for v in entries:
-        if v.is_col:
-            if not set(graph.neighbours(v.index)) <= earlier_rows:
-                return False
-        else:
-            earlier_rows.add(v.index)
+    for side, index in entries:
+        if side == "r":
+            earlier_rows.add(index)
+        elif not earlier_rows.issuperset(adj[index]):
+            return False
     return True
 
 
@@ -171,11 +177,7 @@ def _step(value: MuValue, v: Vertex) -> MuValue:
 
 def mu_finite(graph: SupportGraph, string: SaturatedString) -> int:
     """Row entries count +1, column entries -1; finite strings sum to an int."""
-    _require_vertices(graph, string.entries)
-    value = 0
-    for v in string.entries:
-        value = _step(value, v)
-    return value
+    return _require_vertices(string.entries, graph.radj, graph.adj)
 
 
 def mu_ordinal(string: OrdinalString) -> MuValue:
@@ -239,7 +241,8 @@ class WitnessPair:
             raise ValueError("witness rows outside the string's row range")
         if not cset <= string.col_range:
             raise ValueError("witness cols outside the string's column range")
-        mu = mu_finite(support_graph(matrix), string)
+        # the support graph's vertices are exactly the matrix's rows and columns
+        mu = _require_vertices(string.entries, range(matrix.num_rows), range(matrix.num_cols))
         r = rank(matrix.submatrix(sorted(rset), sorted(cset)))
         if mu != len(rset) - r:
             raise ValueError(f"witness identity fails: mu {mu} != {len(rset)} - {r}")

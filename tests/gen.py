@@ -151,6 +151,27 @@ def random_graph(rng: random.Random, total_cap: int = 7) -> SupportGraph:
     return SupportGraph(range(s), range(t), edges)
 
 
+def random_bipartite(rng: random.Random) -> SupportGraph:
+    nc, nr = rng.randint(0, 30), rng.randint(0, 30)
+    density = rng.choice([0.03, 0.08, 0.15, 0.3])
+    return SupportGraph(range(nc), range(nr),
+                        [(j, i) for j in range(nc) for i in range(nr) if rng.random() < density])
+
+
+def oracle_graphs() -> list[SupportGraph]:
+    """350 fixed graphs: random ones, two perfect coverings, and the support
+    graphs of planted column injections and dependences."""
+    rng = random.Random(2211)
+    out = [random_graph(rng) for _ in range(100)]
+    out += [random_bipartite(rng) for _ in range(200)]
+    out += [two_coverings_instance(rng)[0] for _ in range(20)]
+    for spec in (FieldSpec.gf(2), FieldSpec.gf(5), FieldSpec.rationals()):
+        for _ in range(5):
+            out.append(support_graph(independent_cols_matrix(spec, rng, 15, 15)))
+            out.append(support_graph(dependent_cols_matrix(spec, rng, 15, 15)))
+    return out
+
+
 def brute_max_matching_size(graph: SupportGraph) -> int:
     cols = list(graph.left)
 

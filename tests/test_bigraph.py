@@ -6,8 +6,8 @@ import re
 import pytest
 
 import gen
-from thincert import (FieldSpec, Matching, SparseMatrix, SupportGraph, Vertex,
-                      cantor_bernstein_merge, deficiency_string, hall_violator,
+from thincert import (FieldSpec, Matching, SaturatedString, SparseMatrix, SupportGraph,
+                      Vertex, cantor_bernstein_merge, deficiency_string, hall_violator,
                       max_matching, mu_finite, support_graph)
 
 GF2 = FieldSpec.gf(2)
@@ -195,6 +195,71 @@ def test_max_defect_equals_uncovered_columns():
     for _ in range(120):
         g = gen.random_graph(rng)
         assert gen.max_defect(g) == len(g.left) - max_matching(g).size
+
+
+def reference_hall_violator(graph):
+    """The alternating-reachability violator, read through the sorted
+    ``Matching.col_to_row``/``row_to_col`` views."""
+    m = max_matching(graph)
+    col_to_row = m.col_to_row
+    row_to_col = m.row_to_col
+    exposed = [j for j in graph.left if j not in col_to_row]
+    if not exposed:
+        return None
+    reach_cols = set(exposed)
+    reach_rows = set()
+    frontier = list(exposed)
+    while frontier:
+        col = frontier.pop()
+        for row in graph.adj[col]:
+            if row in reach_rows:
+                continue
+            reach_rows.add(row)
+            back = row_to_col.get(row)
+            if back is not None and back not in reach_cols:
+                reach_cols.add(back)
+                frontier.append(back)
+    violator = frozenset(reach_cols)
+    if not len(graph.neighbourhood(violator)) < len(violator):
+        raise AssertionError("alternating reachability produced a non-violating set")
+    return violator
+
+
+def reference_deficiency_string(graph, violator):
+    j0 = sorted(set(violator))
+    if not j0:
+        raise ValueError("violator set must be nonempty")
+    for j in j0:
+        if j not in graph.adj:
+            raise ValueError(f"c{j} is not a left vertex")
+    hood = sorted(graph.neighbourhood(j0))
+    if not len(hood) < len(j0):
+        raise ValueError("given set does not violate the covering condition")
+    entries = tuple([Vertex.row(i) for i in hood] + [Vertex.col(j) for j in j0])
+    return SaturatedString(entries)
+
+
+def test_violators_and_strings_equal_the_reference():
+    saw = 0
+    for g in gen.oracle_graphs():
+        violator = hall_violator(g)
+        assert violator == reference_hall_violator(g)
+        if violator is None:
+            continue
+        saw += 1
+        s = deficiency_string(g, violator)
+        want = reference_deficiency_string(g, violator)
+        assert s == want and repr(s) == repr(want)
+        assert all(type(v) is Vertex for v in s)
+    assert saw > 100
+
+
+def test_matching_views_are_sorted():
+    rng = random.Random(445)
+    for _ in range(50):
+        m = max_matching(gen.random_bipartite(rng))
+        assert list(m.col_to_row.items()) == sorted(m.pairs)
+        assert list(m.row_to_col) == [i for _, i in sorted(m.pairs)]
 
 
 # --------------------------------------------------------------------------

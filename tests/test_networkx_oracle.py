@@ -5,17 +5,13 @@ augmenting-path search, and the violator's neighbourhood is read back from
 the networkx graph, not from ``SupportGraph``.
 """
 
-import random
-
 import pytest
 
 import gen
-from thincert import FieldSpec, SupportGraph, hall_violator, max_matching, support_graph
+from thincert import hall_violator, max_matching
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms import bipartite  # noqa: E402
-
-FIELDS = [FieldSpec.gf(2), FieldSpec.gf(5), FieldSpec.rationals()]
 
 
 def to_networkx(g):
@@ -28,29 +24,9 @@ def to_networkx(g):
     return nxg, cols
 
 
-def random_bipartite(rng):
-    nc, nr = rng.randint(0, 30), rng.randint(0, 30)
-    density = rng.choice([0.03, 0.08, 0.15, 0.3])
-    return SupportGraph(range(nc), range(nr),
-                        [(j, i) for j in range(nc) for i in range(nr) if rng.random() < density])
-
-
-def graphs():
-    rng = random.Random(2211)
-    out = [gen.random_graph(rng) for _ in range(100)]
-    out += [random_bipartite(rng) for _ in range(200)]
-    # planted: two perfect coverings, a planted column injection, a planted dependence
-    out += [gen.two_coverings_instance(rng)[0] for _ in range(20)]
-    for spec in FIELDS:
-        for _ in range(5):
-            out.append(support_graph(gen.independent_cols_matrix(spec, rng, 15, 15)))
-            out.append(support_graph(gen.dependent_cols_matrix(spec, rng, 15, 15)))
-    return out
-
-
 def test_matching_size_and_violators_agree_with_networkx():
     saw_violator = saw_covering = False
-    for g in graphs():
+    for g in gen.oracle_graphs():
         nxg, cols = to_networkx(g)
         mate = bipartite.maximum_matching(nxg, top_nodes=cols)
         size = sum(1 for c in cols if c in mate)

@@ -98,6 +98,36 @@ def test_is_saturated_accepts_raw_sequences_and_repeats():
     g = support_graph(SparseMatrix.from_dense(QQ, [[1]]))
     assert not is_saturated(g, [Vertex.row(0), Vertex.row(0)])
     assert is_saturated(g, [Vertex.row(0), Vertex.col(0)])
+    # every column saturated, but c0 listed twice
+    assert not is_saturated(g, [Vertex.row(0), Vertex.col(0), Vertex.col(0)])
+
+
+WIDE = [[1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0]]   # rows 0-2, columns 0-3
+TALL = [list(col) for col in zip(*WIDE)]           # rows 0-3, columns 0-2
+
+
+@pytest.mark.parametrize("grid, tokens, offender", [
+    (WIDE, ("r0", "r7", "c9"), "r7"),          # an unknown row comes first
+    (WIDE, ("r0", "c5", "r9"), "c5"),          # an unknown column comes first
+    (TALL, ("r1", "c3"), "c3"),                # row 3 exists, column 3 does not
+    (WIDE, ("c0", "r0", "r1", "c1", "r3"), "r3"),   # column 3 exists, row 3 does not
+])
+def test_unknown_vertices_are_named_in_string_order(grid, tokens, offender):
+    m = SparseMatrix.from_dense(QQ, grid)
+    g = support_graph(m)
+    message = f"^vertex {offender} is not in the graph$"
+    entries = tuple(parse_vertex(t) for t in tokens)
+    s = SaturatedString(entries)
+    with pytest.raises(ValueError, match=message):
+        is_saturated(g, s)
+    with pytest.raises(ValueError, match=message):
+        is_saturated(g, list(entries))
+    with pytest.raises(ValueError, match=message):
+        mu_finite(g, s)
+    rows = [v.index for v in entries if v.is_row]
+    cols = [v.index for v in entries if v.is_col]
+    with pytest.raises(ValueError, match=message):
+        WitnessPair.checked(m, s, rows, cols)
 
 
 def test_generated_strings_are_saturated():
@@ -130,6 +160,18 @@ def test_mu_finite_steps_by_one():
     for k, v in enumerate(s):
         delta = 1 if v.is_row else -1
         assert values[k + 1] - values[k] == delta
+
+
+def test_mu_finite_is_the_sum_of_steps():
+    rng = random.Random(4321)
+    for t in range(200):
+        spec = (GF2, GF5, QQ)[t % 3]
+        m = gen.dependent_cols_matrix(spec, rng, max_rows=9, max_cols=9)
+        s = gen.random_saturated_string(m, rng, stop=0.05)
+        value = 0
+        for v in s:
+            value = thincert.strings._step(value, v)
+        assert mu_finite(support_graph(m), s) == value
 
 
 def test_saturated_strings_leave_unlisted_rows_clean():
@@ -194,8 +236,8 @@ def test_witness_pair_checked_validation():
     assert ok.rows == frozenset({0}) and ok.cols == frozenset({0})
     with pytest.raises(ValueError):
         WitnessPair.checked(m, s, [1], [0])  # row outside the string
-    with pytest.raises(ValueError):
-        WitnessPair.checked(m, s, [0], [])  # identity fails: mu 0 != 1 - 0
+    with pytest.raises(ValueError, match=r"^witness identity fails: mu 0 != 1 - 0$"):
+        WitnessPair.checked(m, s, [0], [])
 
 
 def test_lemma_witness_identity_example():
