@@ -8,14 +8,15 @@ row space (rank, kernels) turn tracking off and skip that bookkeeping.
 Pivots are deterministic: rows are processed in arrival order and a
 surviving row pivots on its lowest column index.
 
-Over GF(p) pivot rows are scaled to a unit lead.  Over Q each row is cleared
-of denominators and eliminated fraction-free on primitive integer rows
-(``row = a*row - b*pivot``, then divided by the gcd of row, right-hand side
-and combination), so the inner loop is plain ``int`` arithmetic; a pivot row
-keeps a positive integer lead.  Every pivot row is proportional to its
-unit-lead form, so pivot columns, ``solution`` and ``reduced_pivots`` (which
-divide by the lead) and refutations (scaled to coefficient one on the row
-fed) are the same in both representations.
+One loop reduces over both fields on plain ``int`` values, by the
+fraction-free step ``row = a*row - b*pivot`` with ``a`` the pivot's lead.
+Over GF(p) a pivot row is scaled to a unit lead when registered, so ``a`` is
+one and the step is taken mod p.  Over Q a row is cleared of denominators and
+divided after each step by the gcd of row, right-hand side and combination;
+a pivot row keeps a positive integer lead.  Every pivot row is proportional
+to its unit-lead form, so pivot columns, ``solution`` and ``reduced_pivots``
+(which divide by the lead) and refutations (scaled to coefficient one on the
+row fed) equal those of unit-lead elimination.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ class Eliminator:
     def __init__(self, spec: FieldSpec, track: bool = True):
         self.spec = spec
         self.pivots: dict[int, ReducedRow] = {}
+        # provenance index of the next row; a caller skipping a 0 = 0 row advances it
         self.rows_seen = 0
         self.track = track
 
@@ -75,75 +77,26 @@ class Eliminator:
         over GF(p) and to a primitive integer row with a positive lead over
         Q.  ``cells`` is never mutated.
         """
-        spec = self.spec
-        if spec.modulus is None:
-            return self._feed_rational(cells, rhs)
-        zero = spec.zero
+        p = self.spec.modulus
         pivots = self.pivots
         k = self.rows_seen
         self.rows_seen = k + 1
-        row = {c: v for c, v in cells.items() if v != 0}
-        combo: dict[int, Raw] = {k: spec.one} if self.track else {}
+        if p is None:
+            den = lcm(rhs.denominator, *[v.denominator for v in cells.values()])
+            row = {c: n for c, v in cells.items() if (n := v.numerator * (den // v.denominator))}
+            rhs = rhs.numerator * (den // rhs.denominator)
+            # The integer row is ``den`` times the row fed.
+            combo: dict[int, int] = {k: den} if self.track else {}
+            g = gcd(*row.values(), rhs, *combo.values())
+            if g > 1:
+                row, rhs, combo = _divided(row, rhs, combo, g)
+        else:
+            row = {c: v for c, v in cells.items() if v != 0}
+            combo = {k: 1} if self.track else {}
         # Min-heap of the row's pivot columns; a column is pushed when it
         # enters the row, and an entry whose column has cancelled is skipped.
         # Reducing by the pivot at h only touches columns above h, so the row
         # is always reduced at its lowest pivot column first.
-        heap = [c for c in row if c in pivots]
-        heapify(heap)
-        while heap:
-            hit = heappop(heap)
-            factor = row.pop(hit, None)
-            if factor is None:
-                continue
-            piv = pivots[hit]
-            for c, v in piv.cells.items():
-                if c == hit:
-                    continue
-                old = row.get(c)
-                if old is None:
-                    row[c] = spec.sub(zero, spec.mul(factor, v))
-                    if c in pivots:
-                        heappush(heap, c)
-                else:
-                    w = spec.sub(old, spec.mul(factor, v))
-                    if w == 0:
-                        del row[c]
-                    else:
-                        row[c] = w
-            rhs = spec.sub(rhs, spec.mul(factor, piv.rhs))
-            for i, y in piv.combo.items():
-                w = spec.sub(combo.get(i, zero), spec.mul(factor, y))
-                if w == 0:
-                    combo.pop(i, None)
-                else:
-                    combo[i] = w
-        if row:
-            lead_col = min(row)
-            lead = row[lead_col]
-            if lead != spec.one:
-                scale = spec.inv(lead)
-                row = {c: spec.mul(scale, v) for c, v in row.items()}
-                rhs = spec.mul(scale, rhs)
-                combo = {i: spec.mul(scale, y) for i, y in combo.items()}
-            pivots[lead_col] = ReducedRow(row, rhs, combo)
-            return None
-        if rhs != 0:
-            return combo
-        return None
-
-    def _feed_rational(self, cells: dict[int, Raw], rhs: Raw) -> dict[int, Raw] | None:
-        """``feed`` over Q, fraction-free on integer rows."""
-        pivots = self.pivots
-        k = self.rows_seen
-        self.rows_seen = k + 1
-        den = lcm(rhs.denominator, *[v.denominator for v in cells.values()])
-        row = {c: n for c, v in cells.items() if (n := v.numerator * (den // v.denominator))}
-        rhs = rhs.numerator * (den // rhs.denominator)
-        # The integer row is ``den`` times the row fed.
-        combo: dict[int, int] = {k: den} if self.track else {}
-        g = gcd(*row.values(), rhs, *combo.values())
-        if g > 1:
-            row, rhs, combo = _divided(row, rhs, combo, g)
         heap = [c for c in row if c in pivots]
         heapify(heap)
         while heap:
@@ -153,48 +106,56 @@ class Eliminator:
                 continue
             piv = pivots[hit]
             a = piv.cells[hit]
-            g = gcd(a, b)
-            if g != 1:
-                a //= g
-                b //= g
-            if a != 1:
-                row = {c: a * v for c, v in row.items()}
-                rhs *= a
-                combo = {i: a * y for i, y in combo.items()}
+            if a != 1:          # over Q only: a GF(p) pivot has a unit lead
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    row = {c: a * v for c, v in row.items()}
+                    rhs *= a
+                    combo = {i: a * y for i, y in combo.items()}
+            # row = a*row - b*pivot, reduced mod p over GF(p)
             for c, v in piv.cells.items():
                 if c == hit:
                     continue
                 old = row.get(c)
                 if old is None:
-                    row[c] = -b * v
+                    row[c] = -b * v if p is None else -b * v % p
                     if c in pivots:
                         heappush(heap, c)
                 else:
-                    w = old - b * v
+                    w = old - b * v if p is None else (old - b * v) % p
                     if w:
                         row[c] = w
                     else:
                         del row[c]
-            rhs -= b * piv.rhs
+            rhs = rhs - b * piv.rhs if p is None else (rhs - b * piv.rhs) % p
             for i, y in piv.combo.items():
-                w = combo.get(i, 0) - b * y
+                w = combo.get(i, 0) - b * y if p is None else (combo.get(i, 0) - b * y) % p
                 if w:
                     combo[i] = w
                 else:
                     combo.pop(i, None)
-            g = gcd(*row.values(), rhs, *combo.values())
-            if g > 1:
-                row, rhs, combo = _divided(row, rhs, combo, g)
+            if p is None:
+                g = gcd(*row.values(), rhs, *combo.values())
+                if g > 1:
+                    row, rhs, combo = _divided(row, rhs, combo, g)
         if row:
             lead_col = min(row)
-            if row[lead_col] < 0:
-                row, rhs, combo = _divided(row, rhs, combo, -1)
+            lead = row[lead_col]
+            if p is None:
+                if lead < 0:
+                    row, rhs, combo = _divided(row, rhs, combo, -1)
+            elif lead != 1:
+                s = self.spec.inv(lead)
+                row = {c: s * v % p for c, v in row.items()}
+                rhs = s * rhs % p
+                combo = {i: s * y % p for i, y in combo.items()}
             pivots[lead_col] = ReducedRow(row, rhs, combo)
             return None
         if rhs == 0:
             return None
-        if not self.track:
-            return {}
+        if p is not None or not self.track:
+            return combo
         own = combo[k]
         return {i: Fraction(y, own) for i, y in combo.items()}
 

@@ -312,8 +312,13 @@ def _feed_all(matrix: SparseMatrix, rhs: Vector | None) -> tuple[Eliminator, dic
     can produce a refutation that needs it."""
     elim = Eliminator(matrix.spec, track=rhs is not None)
     rhs_cells = rhs.raw_cells() if rhs is not None else {}
-    for i in range(matrix.num_rows):
-        combo = elim.feed(matrix.raw_row(i), rhs_cells.get(i, matrix.spec.zero))
+    for i, row in enumerate(matrix.rows):
+        b = rhs_cells.get(i, matrix.spec.zero)
+        if not row and b == 0:
+            # 0 = 0 leaves the echelon form as it is; only its index is spent
+            elim.rows_seen += 1
+            continue
+        combo = elim.feed(matrix.raw_row(i), b)
         if combo is not None:
             return elim, combo
     return elim, None
@@ -401,12 +406,13 @@ def unsolvable_core(matrix: SparseMatrix, rhs: Vector, minimize: bool = False) -
     if isinstance(outcome, Vector):
         raise ValueError("system is solvable, no core exists")
     core = set(outcome.y.support)
+    rhs_cells = rhs.raw_cells()
 
     def still_unsolvable(rows: list[int]) -> bool:
         sub = matrix.submatrix(rows, range(matrix.num_cols))
         sub_rhs = Vector.from_pairs(matrix.spec, len(rows),
-                                    ((pos, rhs.get(i)) for pos, i in enumerate(rows)
-                                     if rhs.get(i)))
+                                    ((pos, b) for pos, i in enumerate(rows)
+                                     if (b := rhs_cells.get(i)) is not None))
         return isinstance(solve(sub, sub_rhs), UnsolvabilityCertificate)
 
     if not still_unsolvable(sorted(core)):

@@ -57,7 +57,7 @@ class StreamState:
         cells: dict[int, Raw] = {}
         top = self.num_cols
         for col, el in row:
-            if not isinstance(col, int) or col < 0:
+            if not isinstance(col, int) or isinstance(col, bool) or col < 0:
                 raise ValueError(f"bad column index {col!r}")
             if col in cells:
                 raise ValueError(f"duplicate column {col}")

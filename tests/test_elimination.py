@@ -11,10 +11,12 @@ from thincert import AllPrefixesSolvable, FieldSpec, StreamState, UnsolvableAt
 from thincert.elimination import Eliminator
 
 QQ = FieldSpec.rationals()
+GF2 = FieldSpec.gf(2)
 GF5 = FieldSpec.gf(5)
 GFP = FieldSpec.gf(1000003)
+GF61 = FieldSpec.gf(2**61 - 1)      # residues near 2^61
 
-FIELDS = [GF5, GFP, QQ]
+FIELDS = [GF2, GF5, GFP, GF61, QQ]
 
 
 def random_rows(spec, rng, nrows, ncols):

@@ -136,6 +136,26 @@ def test_unsolvable_core_worked_example():
     assert unsolvable_core(m, rhs) == frozenset({0, 2})
 
 
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_interleaved_empty_rows_keep_row_indices(spec):
+    """Empty rows between the others do not shift the row indices of a
+    refutation, and an empty row with a nonzero right-hand side refutes the
+    system on its own."""
+    m = SparseMatrix.from_dense(spec, [[0, 0], [1, 1], [0, 0], [0, 0], [1, 1], [0, 0], [0, 1]])
+    assert rank(m) == 2
+    clash = Vector.from_dense(spec, [0, 1, 0, 0, 0, 0, 0])
+    out = solve(m, clash)
+    assert isinstance(out, UnsolvabilityCertificate) and out.y.support == {1, 4}
+    assert unsolvable_core(m, clash) == frozenset({1, 4})
+    lone = Vector.from_dense(spec, [0, 1, 0, 1, 1, 0, 1])
+    out = solve(m, lone)
+    assert isinstance(out, UnsolvabilityCertificate) and out.y.support == {3}
+    assert unsolvable_core(m, lone) == frozenset({3})
+    consistent = Vector.from_dense(spec, [0, 1, 0, 0, 1, 0, 1])
+    x = solve(m, consistent)
+    assert isinstance(x, Vector) and m.mul_vector(x) == consistent
+
+
 # --------------------------------------------------------------------------
 # degenerate shapes
 

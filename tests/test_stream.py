@@ -53,6 +53,10 @@ def test_push_validation():
         st.push([("0", 1)], 0)
     with pytest.raises(ValueError):
         st.push([(0, GF5.element(1))], 0)  # element of another field
+    for col in (True, False):               # bool is an int, but not an index
+        with pytest.raises(ValueError, match="bad column index"):
+            st.push([(col, 1)], 0)
+    assert st.num_cols == 0 and st.num_rows == 0
 
 
 def test_zero_row_contradiction():
