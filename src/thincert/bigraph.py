@@ -205,7 +205,11 @@ def hall_violator(graph: SupportGraph) -> frozenset[int] | None:
     a maximum matching leaves unmatched, so it is deterministic and its
     neighbourhood consists exactly of the matched partners it traps.
     """
-    m = max_matching(graph)
+    return _hall_violator(graph, max_matching(graph))
+
+
+def _hall_violator(graph: SupportGraph, m: Matching) -> frozenset[int] | None:
+    """``hall_violator`` given the graph's maximum matching ``m``."""
     row_to_col = {i: j for j, i in m.pairs}
     matched = set(row_to_col.values())
     exposed = [j for j in graph.left if j not in matched]

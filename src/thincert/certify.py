@@ -1,9 +1,9 @@
 """Certificates for column independence and two-sided diagonal rearrangement.
 
 ``certify_columns`` decides by exact kernel computation, never by matching
-existence: a trivial kernel must come with a column-covering matching (its
-absence would contradict the finite covering theorem and aborts loudly),
-and a nontrivial kernel is reported with a verified kernel vector.
+existence alone: a trivial kernel must come with a column-covering matching
+(its absence would contradict the finite covering theorem and aborts
+loudly), and a nontrivial kernel is reported with a verified kernel vector.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .bigraph import Matching, SupportGraph, hall_violator, max_matching, support_graph
+from .bigraph import Matching, _hall_violator, max_matching, support_graph
 from .linalg import SparseMatrix, Vector, _first_kernel_vector
 
 __all__ = [
@@ -90,30 +90,29 @@ class Bijection:
         return cls(fwd, {i: j for j, i in sorted(fwd.items())})
 
 
-def _column_cover(graph: SupportGraph) -> Matching:
-    """A maximum matching, which must cover the columns of a trivial kernel."""
-    m = max_matching(graph)
-    if not m.covers_cols(graph):
-        raise AssertionError(
-            "trivial kernel but no column-covering matching; "
-            "this contradicts the finite covering theorem")
+def _column_cover(matrix: SparseMatrix, m: Matching | None = None) -> Matching:
+    """A maximum matching (``m`` if given), which must cover the columns of a trivial kernel."""
+    m = m if m is not None else max_matching(support_graph(matrix))
+    if m.size != matrix.num_cols:
+        raise AssertionError("trivial kernel but no column-covering matching; "
+                             "this contradicts the finite covering theorem")
     return m
 
 
 def certify_columns(matrix: SparseMatrix, via_violator: bool = False) -> Certificate:
     """Either an Sdr for the columns or a verified kernel vector.
 
-    With ``via_violator`` and no column-covering matching, the kernel vector
-    is recomputed inside the violator's submatrix (rows N(J0), columns J0,
-    fewer rows than columns) and extended by zeros; rows outside N(J0) carry
-    no support on J0, so the extension is a genuine kernel vector.
+    With ``via_violator`` a maximum matching is found first.  If it leaves a
+    Hall violator J0 (a trivial kernel never does), the kernel vector of
+    the violator's submatrix alone (rows N(J0), columns J0, fewer rows than
+    columns) is extended by zeros, a genuine kernel vector since rows
+    outside N(J0) carry no support on J0.  Otherwise the matching is reused.
     """
-    kern = _first_kernel_vector(matrix)
-    if kern is None:
-        return Sdr.checked(matrix, _column_cover(support_graph(matrix)).col_to_row)
+    matching = None
     if via_violator:
         graph = support_graph(matrix)
-        violator = hall_violator(graph)
+        matching = max_matching(graph)
+        violator = _hall_violator(graph, matching)
         if violator is not None:
             rows = sorted(graph.neighbourhood(violator))
             cols = sorted(violator)
@@ -124,7 +123,10 @@ def certify_columns(matrix: SparseMatrix, via_violator: bool = False) -> Certifi
             lam = Vector.from_pairs(matrix.spec, matrix.num_cols,
                                     ((cols[pos], el) for pos, el in local.entries))
             return Dependence.checked(matrix, lam, "col")
-    return Dependence.checked(matrix, kern, "col")
+    kern = _first_kernel_vector(matrix)
+    if kern is not None:
+        return Dependence.checked(matrix, kern, "col")
+    return Sdr.checked(matrix, _column_cover(matrix, matching).col_to_row)
 
 
 def diagonalize(matrix: SparseMatrix) -> Bijection | Dependence:
@@ -145,4 +147,4 @@ def diagonalize(matrix: SparseMatrix) -> Bijection | Dependence:
         return Dependence.checked(matrix, row_kern, "row")
     if matrix.num_rows != matrix.num_cols:
         return Dependence.checked(matrix, _first_kernel_vector(matrix), "col")
-    return Bijection.checked(matrix, _column_cover(support_graph(matrix)).col_to_row)
+    return Bijection.checked(matrix, _column_cover(matrix).col_to_row)

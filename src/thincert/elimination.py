@@ -5,8 +5,9 @@ eliminator makes each reduced row remember the combination of original rows
 it was built from, so a row that vanishes with a nonzero right-hand side
 hands back a ready-made refutation combination.  Callers that only need the
 row space (rank, kernels) turn tracking off and skip that bookkeeping.
-Pivots are deterministic: rows are processed in arrival order and a
-surviving row pivots on its lowest column index.
+A surviving row pivots on its lowest column index, so pivot columns,
+``reduced_pivots``, ``kernel_vector`` and ``solution`` do not depend on the
+order rows arrive in; only a refutation combination does.
 
 One loop reduces over both fields on plain ``int`` values, by the
 fraction-free step ``row = a*row - b*pivot`` with ``a`` the pivot's lead.
@@ -59,7 +60,7 @@ class Eliminator:
     def __init__(self, spec: FieldSpec, track: bool = True):
         self.spec = spec
         self.pivots: dict[int, ReducedRow] = {}
-        # provenance index of the next row; a caller skipping a 0 = 0 row advances it
+        # provenance index of the next row; a caller skipping rows may set it
         self.rows_seen = 0
         self.track = track
 

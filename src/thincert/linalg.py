@@ -169,11 +169,13 @@ class SparseMatrix:
     @classmethod
     def _from_cells(cls, spec: FieldSpec, num_rows: int, num_cols: int,
                     per_row: Mapping[int, Mapping[int, FieldElement]]) -> "SparseMatrix":
-        """The matrix of ``{row: {col: nonzero element}}`` cells, each row
-        sorted by column; the elements are used as they are, not re-boxed."""
-        empty: dict[int, FieldElement] = {}
-        rows = tuple(tuple(sorted(per_row.get(i, empty).items())) for i in range(num_rows))
-        return cls(spec, num_rows, num_cols, rows)
+        """The matrix of ``{row: {col: nonzero element}}`` cells, elements used
+        as they are; a row is sorted only if its columns arrived out of order."""
+        rows: list[tuple[tuple[int, FieldElement], ...]] = [()] * num_rows
+        for i, cells in per_row.items():
+            row = tuple(cells.items())
+            rows[i] = tuple(sorted(row)) if len(row) > 1 and list(cells) != sorted(cells) else row
+        return cls(spec, num_rows, num_cols, tuple(rows))
 
     @classmethod
     def from_dense(cls, spec: FieldSpec, grid: Sequence[Sequence[Scalarish]],
@@ -307,17 +309,22 @@ class UnsolvabilityCertificate:
         return cls(y)
 
 
-def _feed_all(matrix: SparseMatrix, rhs: Vector | None) -> tuple[Eliminator, dict[int, Raw] | None]:
-    """Feed every row; provenance is tracked only when a right-hand side
-    can produce a refutation that needs it."""
-    elim = Eliminator(matrix.spec, track=rhs is not None)
+def _feed_all(matrix: SparseMatrix, rhs: Vector | None,
+              track: bool = False) -> tuple[Eliminator, dict[int, Raw] | None]:
+    """Feed rows until the first contradiction.  Untracked, the nonempty rows
+    go sparsest first: the pivot columns, the reduced echelon form, its
+    kernel vectors and the free-variables-zero solution do not depend on row
+    order.  A refutation does, so tracked rows go in the given order."""
+    elim = Eliminator(matrix.spec, track=track)
     rhs_cells = rhs.raw_cells() if rhs is not None else {}
-    for i, row in enumerate(matrix.rows):
-        b = rhs_cells.get(i, matrix.spec.zero)
-        if not row and b == 0:
-            # 0 = 0 leaves the echelon form as it is; only its index is spent
-            elim.rows_seen += 1
-            continue
+    rows, zero = matrix.rows, matrix.spec.zero
+    order = range(len(rows)) if track else sorted(
+        [i for i, row in enumerate(rows) if row or i in rhs_cells], key=lambda i: len(rows[i]))
+    for i in order:
+        b = rhs_cells.get(i, zero)
+        if not rows[i] and b == 0:
+            continue        # 0 = 0 leaves the echelon form as it is
+        elim.rows_seen = i
         combo = elim.feed(matrix.raw_row(i), b)
         if combo is not None:
             return elim, combo
@@ -379,7 +386,8 @@ def solve(matrix: SparseMatrix, rhs: Vector) -> Vector | UnsolvabilityCertificat
 
     A solution has every free variable zero and multiplies back to b.  An
     unsolvability certificate is scaled so its lowest-index nonzero entry is
-    one and is verified before being returned.
+    one and is verified before being returned; it comes from a second,
+    tracked pass in the given row order.
     """
     if rhs.spec != matrix.spec:
         raise ValueError("right-hand side from a different field")
@@ -387,6 +395,7 @@ def solve(matrix: SparseMatrix, rhs: Vector) -> Vector | UnsolvabilityCertificat
         raise ValueError("right-hand side length does not match the rows")
     elim, combo = _feed_all(matrix, rhs)
     if combo is not None:
+        _, combo = _feed_all(matrix, rhs, track=True)
         y = _normalized(matrix.spec, matrix.num_rows, combo)
         return UnsolvabilityCertificate.checked(matrix, rhs, y)
     x = Vector.from_pairs(matrix.spec, matrix.num_cols, elim.solution().items())
@@ -399,28 +408,19 @@ def unsolvable_core(matrix: SparseMatrix, rhs: Vector, minimize: bool = False) -
     """Row indices whose combination refutes A x = b.
 
     The core is the support of the certificate produced by the elimination
-    trail; it is re-verified unsolvable in isolation.  With ``minimize`` a
-    greedy row-deletion pass shrinks it (no minimality guarantee either way).
+    trail, re-verified unsolvable in isolation.  It is irreducible, so
+    ``minimize`` has nothing to do: the trail combines the row that vanished
+    with independent pivot rows, so every proper subset is solvable.
     """
     outcome = solve(matrix, rhs)
     if isinstance(outcome, Vector):
         raise ValueError("system is solvable, no core exists")
-    core = set(outcome.y.support)
+    core = sorted(outcome.y.support)
     rhs_cells = rhs.raw_cells()
-
-    def still_unsolvable(rows: list[int]) -> bool:
-        sub = matrix.submatrix(rows, range(matrix.num_cols))
-        sub_rhs = Vector.from_pairs(matrix.spec, len(rows),
-                                    ((pos, b) for pos, i in enumerate(rows)
-                                     if (b := rhs_cells.get(i)) is not None))
-        return isinstance(solve(sub, sub_rhs), UnsolvabilityCertificate)
-
-    if not still_unsolvable(sorted(core)):
+    sub = matrix.submatrix(core, range(matrix.num_cols))
+    sub_rhs = Vector.from_pairs(matrix.spec, len(core),
+                                ((pos, b) for pos, i in enumerate(core)
+                                 if (b := rhs_cells.get(i)) is not None))
+    if not isinstance(solve(sub, sub_rhs), UnsolvabilityCertificate):
         raise AssertionError("extracted core is not unsolvable in isolation")
-    if minimize:
-        for i in sorted(core):
-            if len(core) > 1:
-                trial = sorted(core - {i})
-                if still_unsolvable(trial):
-                    core.discard(i)
     return frozenset(core)

@@ -5,9 +5,11 @@ import random
 import pytest
 
 import gen
+import thincert.certify
 from thincert import (Bijection, Dependence, FieldSpec, Matching, Sdr, SparseMatrix,
                       Vector, cantor_bernstein_merge, certify_columns, diagonalize,
                       hall_violator, kernel_basis, support_graph)
+from thincert.elimination import Eliminator
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.gf(2)
@@ -263,3 +265,66 @@ def test_one_verification_per_returned_vector(monkeypatch):
                 out = call()
                 assert isinstance(out, Dependence)
                 assert products == [out.vector]
+
+
+def square_hall(spec, rng, n, k):
+    """An n x n matrix, rows and columns shuffled, whose first k columns
+    live on only k - 1 rows (a bidiagonal block), so they violate Hall's
+    condition; the other rows reach only the other columns."""
+    entries = {}
+    for i in range(k - 1):
+        for j in (i, i + 1, rng.randrange(k, n)):
+            entries[(i, j)] = gen.rand_nonzero(spec, rng)
+    for i in range(k - 1, n):
+        for j in {k + (i - k + 1) % (n - k), *rng.sample(range(k, n), 2)}:
+            entries[(i, j)] = gen.rand_nonzero(spec, rng)
+    rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+    return SparseMatrix.from_entries(spec, n, n, {(rows[i], cols[j]): v
+                                                  for (i, j), v in entries.items()})
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_violator_first_eliminates_only_its_submatrix(spec, monkeypatch):
+    """With a Hall violator, ``via_violator`` builds one Eliminator and feeds
+    it the nonempty rows of the violator's submatrix, nothing else."""
+    fed = []
+    init, feed = Eliminator.__init__, Eliminator.feed
+    monkeypatch.setattr(Eliminator, "__init__",
+                        lambda self, *a, **kw: fed.append([]) or init(self, *a, **kw))
+    monkeypatch.setattr(Eliminator, "feed",
+                        lambda self, cells, rhs: fed[-1].append(dict(cells)) or feed(self, cells, rhs))
+    key = lambda cells: sorted(cells.items())
+    rng = random.Random(f"square-hall/{spec.modulus}")
+    for _ in range(10):
+        m = square_hall(spec, rng, rng.randint(8, 20), rng.randint(3, 5))
+        graph = support_graph(m)
+        violator = hall_violator(graph)
+        sub = m.submatrix(sorted(graph.neighbourhood(violator)), sorted(violator))
+        fed.clear()
+        cert = certify_columns(m, via_violator=True)
+        assert isinstance(cert, Dependence) and cert.vector.support <= violator
+        assert len(fed) == 1
+        assert sorted(fed[0], key=key) == sorted(
+            (sub.raw_row(i) for i in range(sub.num_rows) if sub.rows[i]), key=key)
+        assert len(fed[0]) < m.num_rows
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_one_matching_per_certificate(spec, monkeypatch):
+    """A covered matrix gets its Sdr from a single maximum matching, with or
+    without ``via_violator``; a violator also needs just the one."""
+    calls = []
+    max_matching = thincert.certify.max_matching
+    monkeypatch.setattr(thincert.certify, "max_matching",
+                        lambda graph: calls.append(graph) or max_matching(graph))
+    rng = random.Random(f"one-matching/{spec.modulus}")
+    for _ in range(10):
+        m = gen.independent_cols_matrix(spec, rng, max_rows=12, max_cols=10)
+        for via in (False, True):
+            calls.clear()
+            assert isinstance(certify_columns(m, via_violator=via), Sdr)
+            assert len(calls) == 1
+        calls.clear()
+        assert isinstance(certify_columns(square_hall(spec, rng, 10, 4), via_violator=True),
+                          Dependence)
+        assert len(calls) == 1

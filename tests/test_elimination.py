@@ -302,3 +302,39 @@ def test_rational_stream_latches_like_fraction_replay(big):
             assert st.status == expect
         latched += not st.is_solvable
     assert latched >= 5
+
+
+def dot(spec, cells, x):
+    acc = spec.zero
+    for c, v in cells.items():
+        acc = spec.add(acc, spec.mul(v, x[c]))
+    return acc
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_results_do_not_depend_on_feed_order(spec):
+    """Fed in the given order, sparsest first, reversed or shuffled, the same
+    rows give the same pivot columns, reduced echelon rows and kernel
+    vectors, and on a consistent system the same solution."""
+    rng = random.Random(f"order/{spec.modulus}")
+    consistent = 0
+    for trial in range(40):
+        ncols = rng.randint(1, 12)
+        rows = random_rows(spec, rng, rng.randint(1, 18), ncols)
+        if trial % 2:
+            # right-hand sides of a hidden solution x0
+            x0 = {c: gen.rand_scalar(spec, rng) for c in range(ncols)}
+            rows = [(cells, dot(spec, cells, x0)) for cells, _ in rows]
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        outcomes = []
+        for fed in (rows, sorted(rows, key=lambda r: len(r[0])), rows[::-1], shuffled):
+            elim = Eliminator(spec, track=False)
+            refuted = [elim.feed(cells, rhs) is not None for cells, rhs in fed]
+            free = [c for c in range(ncols) if c not in elim.pivots]
+            outcomes.append((sorted(elim.pivots), elim.reduced_pivots(),
+                             [elim.kernel_vector(c) for c in free],
+                             None if any(refuted) else elim.solution()))
+        assert all(out == outcomes[0] for out in outcomes[1:])
+        consistent += outcomes[0][3] is not None
+    assert consistent >= 20

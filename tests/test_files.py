@@ -171,3 +171,22 @@ def test_parsed_entries_are_canonical():
     q = parse_matrix("field rational\n1 1\n0 0 6/4\n")
     assert q.entry(0, 0).value == Fraction(3, 2)
     assert type(parse_matrix("field rational\n1 1\n0 0 3\n").entry(0, 0).value) is Fraction
+
+
+def test_shuffled_entries_give_the_canonical_matrix():
+    """Entries listed out of order, in a file or through ``from_entries``,
+    give the matrix of the canonical listing, empty rows included."""
+    rng = random.Random(4242)
+    for spec in (GF2, FieldSpec.gf(5), QQ):
+        for _ in range(20):
+            m = gen.dependent_cols_matrix(spec, rng, max_rows=12, max_cols=12)
+            m = SparseMatrix.from_entries(spec, m.num_rows + 2, m.num_cols,
+                                          [(i, j, el) for i, j, el in m.nonzeros()])
+            header, dims, *body = render_matrix(m).splitlines()
+            rng.shuffle(body)
+            text = "\n".join([header, dims, *body]) + "\n"
+            assert parse_matrix(text) == m
+            assert render_matrix(parse_matrix(text)) == render_matrix(m)
+            entries = list(m.nonzeros())
+            rng.shuffle(entries)
+            assert SparseMatrix.from_entries(spec, m.num_rows, m.num_cols, entries) == m

@@ -8,6 +8,7 @@ import pytest
 import gen
 from thincert import (FieldSpec, SparseMatrix, UnsolvabilityCertificate, Vector,
                       kernel_basis, rank, solve, unsolvable_core)
+from thincert.elimination import Eliminator
 from thincert.linalg import _first_kernel_vector
 
 QQ = FieldSpec.rationals()
@@ -295,19 +296,65 @@ def test_unsolvable_core_is_unsolvable_in_isolation():
 
 
 def test_unsolvable_core_minimize_is_minimal():
+    """Every core is irreducible, so ``minimize`` returns the same core: the
+    greedy row-deletion pass it used to run, kept here as the oracle, finds
+    each single-row deletion solvable."""
     rng = random.Random(909)
-    hits = 0
-    while hits < 8:
-        spec = rng.choice(FIELDS)
-        m = gen.dependent_cols_matrix(spec, rng, max_rows=8, max_cols=5)
-        rhs = Vector.from_dense(spec, [gen.rand_scalar(spec, rng)
-                                       for _ in range(m.num_rows)])
-        if isinstance(solve(m, rhs), Vector):
-            continue
-        hits += 1
-        core = sorted(unsolvable_core(m, rhs, minimize=True))
-        for drop in range(len(core)):
-            kept = [i for k, i in enumerate(core) if k != drop]
-            sub = m.submatrix(kept, range(m.num_cols))
-            sub_rhs = Vector.from_dense(spec, [rhs.get(i) for i in kept])
-            assert isinstance(solve(sub, sub_rhs), Vector)
+    for spec in FIELDS:
+        hits = 0
+        while hits < 12:
+            m = gen.dependent_cols_matrix(spec, rng, max_rows=10, max_cols=6)
+            rhs = Vector.from_dense(spec, [gen.rand_scalar(spec, rng)
+                                           for _ in range(m.num_rows)])
+            if isinstance(solve(m, rhs), Vector):
+                continue
+            hits += 1
+            core = sorted(unsolvable_core(m, rhs, minimize=True))
+            assert core == sorted(unsolvable_core(m, rhs))
+            for drop in range(len(core)):
+                kept = [i for k, i in enumerate(core) if k != drop]
+                sub = m.submatrix(kept, range(m.num_cols))
+                sub_rhs = Vector.from_dense(spec, [rhs.get(i) for i in kept])
+                assert isinstance(solve(sub, sub_rhs), Vector)
+
+
+@pytest.fixture
+def eliminators(monkeypatch):
+    """Every Eliminator built, with the rows it was fed as (provenance index, row)."""
+    made = []
+    init, feed = Eliminator.__init__, Eliminator.feed
+
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append((self, []))
+
+    def spy_feed(self, cells, rhs):
+        next(fed for elim, fed in made if elim is self).append((self.rows_seen, dict(cells)))
+        return feed(self, cells, rhs)
+
+    monkeypatch.setattr(Eliminator, "__init__", spy_init)
+    monkeypatch.setattr(Eliminator, "feed", spy_feed)
+    return made
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_solve_tracks_provenance_only_to_refute(spec, eliminators):
+    """A consistent solve builds no tracked Eliminator; a refuted one builds
+    exactly one, fed in the given row order under the rows' own indices,
+    after an untracked pass fed sparsest row first."""
+    rng = random.Random(f"tracked/{spec.modulus}")
+    kinds = set()
+    for _ in range(30):
+        m = gen.dependent_cols_matrix(spec, rng, max_rows=10, max_cols=8)
+        rhs = Vector.from_dense(spec, [gen.rand_scalar(spec, rng) for _ in range(m.num_rows)])
+        eliminators.clear()
+        refuted = isinstance(solve(m, rhs), UnsolvabilityCertificate)
+        kinds.add(refuted)
+        assert [elim.track for elim, _ in eliminators] == ([False, True] if refuted else [False])
+        lengths = [len(cells) for _, cells in eliminators[0][1]]
+        assert lengths == sorted(lengths)
+        if refuted:
+            fed = eliminators[1][1]
+            assert [cells for _, cells in fed] == [m.raw_row(i) for i, _ in fed]
+            assert [i for i, _ in fed] == sorted(i for i, _ in fed)
+    assert kinds == {True, False}
