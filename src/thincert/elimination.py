@@ -5,9 +5,12 @@ eliminator makes each reduced row remember the combination of original rows
 it was built from, so a row that vanishes with a nonzero right-hand side
 hands back a ready-made refutation combination.  Callers that only need the
 row space (rank, kernels) turn tracking off and skip that bookkeeping.
-A surviving row pivots on its lowest column index, so pivot columns,
-``reduced_pivots``, ``kernel_vector`` and ``solution`` do not depend on the
-order rows arrive in; only a refutation combination does.
+Elimination is forward only: a row is reduced while its lowest column has a
+pivot, and the first column without one leads it; pivot columns above the
+lead are left for back-substitution and ``reduced_pivots``.  Pivot columns
+are those of the unique reduced echelon form, so they, ``reduced_pivots``,
+``kernel_vector`` and ``solution`` do not depend on row order; only a
+refutation combination does.
 
 One loop reduces over both fields on plain ``int`` values, by the
 fraction-free step ``row = a*row - b*pivot`` with ``a`` the pivot's lead.
@@ -69,7 +72,7 @@ class Eliminator:
         return len(self.pivots)
 
     def feed(self, cells: dict[int, Raw], rhs: Raw) -> dict[int, Raw] | None:
-        """Reduce one row against the current pivots.
+        """Reduce one row, lowest column first, until that column has no pivot.
 
         Returns the provenance combination (empty when untracked) when the
         row vanishes with a nonzero right-hand side (a contradiction), and
@@ -94,18 +97,21 @@ class Eliminator:
         else:
             row = {c: v for c, v in cells.items() if v != 0}
             combo = {k: 1} if self.track else {}
-        # Min-heap of the row's pivot columns; a column is pushed when it
-        # enters the row, and an entry whose column has cancelled is skipped.
-        # Reducing by the pivot at h only touches columns above h, so the row
-        # is always reduced at its lowest pivot column first.
-        heap = [c for c in row if c in pivots]
+        # Min-heap of the row's columns, pushed as they enter the row; an entry
+        # whose column has cancelled is skipped.  Reducing by the pivot at h
+        # only touches columns above h, so the top live entry is the row's
+        # lowest column.  The first one without a pivot leads the row.
+        heap = list(row)
         heapify(heap)
         while heap:
             hit = heappop(heap)
-            b = row.pop(hit, None)
+            b = row.get(hit)
             if b is None:
                 continue
-            piv = pivots[hit]
+            piv = pivots.get(hit)
+            if piv is None:
+                break
+            del row[hit]
             a = piv.cells[hit]
             if a != 1:          # over Q only: a GF(p) pivot has a unit lead
                 g = gcd(a, b)
@@ -121,8 +127,7 @@ class Eliminator:
                 old = row.get(c)
                 if old is None:
                     row[c] = -b * v if p is None else -b * v % p
-                    if c in pivots:
-                        heappush(heap, c)
+                    heappush(heap, c)
                 else:
                     w = old - b * v if p is None else (old - b * v) % p
                     if w:
@@ -140,18 +145,16 @@ class Eliminator:
                 g = gcd(*row.values(), rhs, *combo.values())
                 if g > 1:
                     row, rhs, combo = _divided(row, rhs, combo, g)
-        if row:
-            lead_col = min(row)
-            lead = row[lead_col]
+        if row:         # the loop stopped at the lead column ``hit``, of value b
             if p is None:
-                if lead < 0:
+                if b < 0:
                     row, rhs, combo = _divided(row, rhs, combo, -1)
-            elif lead != 1:
-                s = self.spec.inv(lead)
+            elif b != 1:
+                s = self.spec.inv(b)
                 row = {c: s * v % p for c, v in row.items()}
                 rhs = s * rhs % p
                 combo = {i: s * y % p for i, y in combo.items()}
-            pivots[lead_col] = ReducedRow(row, rhs, combo)
+            pivots[hit] = ReducedRow(row, rhs, combo)
             return None
         if rhs == 0:
             return None
@@ -202,11 +205,8 @@ class Eliminator:
         reduced: dict[int, dict[int, Raw]] = {}
         for c in sorted(self.pivots, reverse=True):
             cells = self.pivots[c].cells
-            if rational:
-                lead = cells[c]
-                row = {cc: Fraction(v, lead) for cc, v in cells.items()}
-            else:
-                row = dict(cells)
+            lead = cells[c]
+            row = {cc: Fraction(v, lead) for cc, v in cells.items()} if rational else dict(cells)
             for cc in [x for x in row if x != c and x in self.pivots]:
                 # cc > c, already reduced; its row has a unit lead and only
                 # free columns elsewhere, so no new pivot columns appear.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping, Sequence, Union
 
 from .elimination import Eliminator
@@ -311,15 +312,15 @@ class UnsolvabilityCertificate:
 
 def _feed_all(matrix: SparseMatrix, rhs: Vector | None,
               track: bool = False) -> tuple[Eliminator, dict[int, Raw] | None]:
-    """Feed rows until the first contradiction.  Untracked, the nonempty rows
-    go sparsest first: the pivot columns, the reduced echelon form, its
-    kernel vectors and the free-variables-zero solution do not depend on row
-    order.  A refutation does, so tracked rows go in the given order."""
+    """Feed rows until the first contradiction.  Untracked, rows go sparsest
+    first (empty ones only with a nonzero right-hand side): pivot columns, the
+    reduced echelon form and the free-variables-zero solution do not depend on
+    row order.  A refutation does, so tracked rows go in the given order."""
     elim = Eliminator(matrix.spec, track=track)
     rhs_cells = rhs.raw_cells() if rhs is not None else {}
     rows, zero = matrix.rows, matrix.spec.zero
-    order = range(len(rows)) if track else sorted(
-        [i for i, row in enumerate(rows) if row or i in rhs_cells], key=lambda i: len(rows[i]))
+    order = range(len(rows)) if track else [i for i in rhs_cells if not rows[i]] + sorted(
+        compress(range(len(rows)), rows), key=lambda i: len(rows[i]))
     for i in order:
         b = rhs_cells.get(i, zero)
         if not rows[i] and b == 0:

@@ -76,12 +76,7 @@ class StreamState:
 
     def _verify_core(self, core: frozenset[int]) -> None:
         check = Eliminator(self.spec, track=False)
-        contradicted = False
-        for i in sorted(core):
-            cells, rhs_raw = self._rows[i]
-            if check.feed(cells, rhs_raw) is not None:
-                contradicted = True
-        if not contradicted:
+        if not any(check.feed(*self._rows[i]) is not None for i in sorted(core)):
             raise AssertionError("stream core is not unsolvable in isolation")
 
     def solution(self) -> Vector:

@@ -44,16 +44,18 @@ def random_rows(spec, rng, nrows, ncols):
     return rows
 
 
-def reference_feed(spec, pivots, k, cells, rhs):
+def reference_feed(spec, pivots, k, cells, rhs, forward=False):
     """Row reduction by a scan for the lowest pivot column at every step,
-    with pivot rows stored unscaled; returns (refutation or None, pivots)."""
+    with pivot rows stored unscaled in ``pivots``; returns the refutation or
+    None.  With ``forward`` the scan stops at the row's lowest column once it
+    has no pivot, leaving pivot columns above it in the stored row; otherwise
+    every pivot column is reduced away."""
     row = {c: v for c, v in cells.items() if v != 0}
     combo = {k: spec.one}
     while True:
-        hits = [c for c in row if c in pivots]
-        if not hits:
+        hit = min(row if forward else [c for c in row if c in pivots], default=None)
+        if hit not in pivots:
             break
-        hit = min(hits)
         prow, prhs, pcombo = pivots[hit]
         factor = spec.div(row.pop(hit), prow[hit])
         for c, v in prow.items():
@@ -158,9 +160,9 @@ def test_tracked_and_untracked_agree(spec):
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_matches_scan_reduction(spec):
     """The heap order and stored pivots (unit-lead over GF(p), primitive
-    integer over Q) reproduce the scan-based reduction: the same pivot
-    columns, the same pivot rows up to their lead, the same refutation
-    combinations, solution and reduced echelon rows."""
+    integer over Q) reproduce the scan-based reductions: the pivot columns,
+    refutation combinations, solution and reduced echelon rows of the full
+    reduction, and the pivot rows, up to their lead, of the forward one."""
     rng = random.Random(f"scan/{spec.modulus}")
     for _ in range(25):
         rows = random_rows(spec, rng, rng.randint(1, 18), rng.randint(1, 12))
@@ -168,11 +170,15 @@ def test_matches_scan_reduction(spec):
 
 
 def assert_matches_reference(spec, rows):
-    elim, ref = Eliminator(spec), {}
+    """The full reduction is the oracle for everything but the stored pivot
+    rows, which the forward reduction pins."""
+    elim, ref, forward = Eliminator(spec), {}, {}
     for k, (cells, rhs) in enumerate(rows):
-        assert elim.feed(cells, rhs) == reference_feed(spec, ref, k, cells, rhs)
-    assert elim.pivots.keys() == ref.keys()
-    for c, (cells, rhs, combo) in ref.items():
+        refutation = reference_feed(spec, ref, k, cells, rhs)
+        assert elim.feed(cells, rhs) == refutation
+        assert reference_feed(spec, forward, k, cells, rhs, forward=True) == refutation
+    assert elim.pivots.keys() == ref.keys() == forward.keys()
+    for c, (cells, rhs, combo) in forward.items():
         inv = spec.inv(cells[c])
         r_cells, r_rhs, r_combo = unit_lead(spec, elim.pivots[c], c)
         assert r_cells == scaled(spec, cells, inv)

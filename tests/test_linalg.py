@@ -9,7 +9,7 @@ import gen
 from thincert import (FieldSpec, SparseMatrix, UnsolvabilityCertificate, Vector,
                       kernel_basis, rank, solve, unsolvable_core)
 from thincert.elimination import Eliminator
-from thincert.linalg import _first_kernel_vector
+from thincert.linalg import _feed_all, _first_kernel_vector
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.gf(2)
@@ -358,3 +358,33 @@ def test_solve_tracks_provenance_only_to_refute(spec, eliminators):
             assert [cells for _, cells in fed] == [m.raw_row(i) for i, _ in fed]
             assert [i for i, _ in fed] == sorted(i for i, _ in fed)
     assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_untracked_feed_order_matches_comprehension(spec, monkeypatch):
+    """Untracked, ``_feed_all`` feeds the empty rows with a nonzero
+    right-hand side, then the nonempty rows stably by length: the order of
+    the comprehension over every row that it replaced."""
+    fed = []
+    monkeypatch.setattr(Eliminator, "feed", lambda self, cells, rhs: fed.append(self.rows_seen))
+    rng = random.Random(f"feed-order/{spec.modulus}")
+    empty_with_rhs = empty_without_rhs = 0
+    for _ in range(40):
+        r, c = rng.randint(1, 14), rng.randint(1, 6)
+        entries = {(rng.randrange(r), rng.randrange(c)): gen.rand_nonzero(spec, rng)
+                   for _ in range(rng.randint(0, 2 * r))}
+        m = SparseMatrix.from_entries(spec, r, c, entries)
+        rhs = Vector.from_dense(spec, [gen.rand_scalar(spec, rng) if rng.random() < 0.5
+                                       else spec.zero for _ in range(r)])
+        for b in (None, rhs):
+            rhs_cells = b.raw_cells() if b is not None else {}
+            rows = m.rows
+            expected = sorted([i for i, row in enumerate(rows) if row or i in rhs_cells],
+                              key=lambda i: len(rows[i]))
+            fed.clear()
+            _feed_all(m, b)
+            assert fed == expected
+            empty = [i for i, row in enumerate(rows) if not row]
+            empty_with_rhs += sum(i in rhs_cells for i in empty)
+            empty_without_rhs += sum(i not in rhs_cells for i in empty)
+    assert empty_with_rhs >= 10 and empty_without_rhs >= 10
