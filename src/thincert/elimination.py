@@ -20,7 +20,10 @@ divided after each step by the gcd of row, right-hand side and combination;
 a pivot row keeps a positive integer lead.  Every pivot row is proportional
 to its unit-lead form, so pivot columns, ``solution`` and ``reduced_pivots``
 (which divide by the lead) and refutations (scaled to coefficient one on the
-row fed) equal those of unit-lead elimination.
+row fed) equal those of unit-lead elimination.  Back-substitution and
+``reduced_pivots`` stay on integers too: a back-substituted vector is integer
+numerators over one common denominator, and a reduced row is divided by its
+lead once, as it is emitted; ``Fraction``s are built only for the result.
 """
 
 from __future__ import annotations
@@ -173,51 +176,65 @@ class Eliminator:
         column: the vector ``reduced_pivots`` gives for ``free``.  A pivot
         row above ``free`` only meets columns where that vector is zero, so
         only the pivots below ``free`` are back-substituted."""
-        return self._back_substitute({free: self.spec.one},
-                                     [c for c in self.pivots if c < free], homogeneous=True)
+        return self._back_substitute({free: 1}, [c for c in self.pivots if c < free],
+                                     homogeneous=True)
 
-    def _back_substitute(self, x: dict[int, Raw], cols: Iterable[int],
+    def _back_substitute(self, x: dict[int, int], cols: Iterable[int],
                          homogeneous: bool) -> dict[int, Raw]:
-        """Fill ``x`` at the pivot columns ``cols``, highest first."""
-        spec = self.spec
-        rational = spec.modulus is None
+        """Fill ``x`` at the pivot columns ``cols``, highest first.  Over Q
+        ``x`` holds integers over one common denominator ``d``, widened (and
+        ``x`` rescaled) only when a lead does not divide its sum."""
+        p = self.spec.modulus
+        d = 1
         for c in sorted(cols, reverse=True):
             r = self.pivots[c]
-            acc = spec.zero if homogeneous else r.rhs
+            acc = 0 if homogeneous else r.rhs * d
             for cc, v in r.cells.items():
-                if cc == c:
-                    continue
-                xv = x.get(cc)
-                if xv is not None:
-                    acc = spec.sub(acc, spec.mul(v, xv))
-            if acc != 0:
-                x[c] = Fraction(acc, r.cells[c]) if rational else acc
-        return x
+                if cc != c and (xv := x.get(cc)) is not None:
+                    acc -= v * xv
+            if p is not None:
+                if acc := acc % p:
+                    x[c] = acc      # a GF(p) pivot has a unit lead
+            elif acc:
+                a = r.cells[c]
+                g = gcd(acc, a)
+                if a != g:
+                    x = {k: a // g * v for k, v in x.items()}
+                    d *= a // g
+                x[c] = acc // g
+        return x if p is not None else {k: Fraction(v, d) for k, v in x.items()}
 
     def reduced_pivots(self) -> dict[int, dict[int, Raw]]:
         """Fully back-reduced pivot rows with unit leading entries.
 
         The result is the unique reduced echelon basis of the row space, so
-        anything derived from it is canonical regardless of feed order.
+        anything derived from it is canonical regardless of feed order.  Rows
+        are back-reduced as integer rows (primitive over Q) and divided by
+        their leads only as each is emitted.
         """
-        spec = self.spec
-        rational = spec.modulus is None
+        p = self.spec.modulus
+        pivots = self.pivots
+        ints: dict[int, dict[int, int]] = {}
         reduced: dict[int, dict[int, Raw]] = {}
-        for c in sorted(self.pivots, reverse=True):
-            cells = self.pivots[c].cells
-            lead = cells[c]
-            row = {cc: Fraction(v, lead) for cc, v in cells.items()} if rational else dict(cells)
-            for cc in [x for x in row if x != c and x in self.pivots]:
-                # cc > c, already reduced; its row has a unit lead and only
-                # free columns elsewhere, so no new pivot columns appear.
-                factor = row.pop(cc)
-                for c2, v2 in reduced[cc].items():
-                    if c2 == cc:
-                        continue
-                    w = spec.sub(row.get(c2, spec.zero), spec.mul(factor, v2))
-                    if w == 0:
-                        row.pop(c2, None)
-                    else:
-                        row[c2] = w
-            reduced[c] = row
+        for c in sorted(pivots, reverse=True):
+            row = dict(pivots[c].cells)
+            # Each cc > c is already reduced: its row holds only free columns
+            # besides cc, so no new pivot columns appear.
+            hits = [cc for cc in row if cc != c and cc in pivots]
+            if p is None and hits and (m := lcm(*[ints[cc][cc] for cc in hits])) != 1:
+                row = {k: m * v for k, v in row.items()}
+            for cc in hits:
+                done = ints[cc]
+                f = row.pop(cc) if p is not None else row.pop(cc) // done[cc]
+                for c2, v2 in done.items():
+                    if c2 != cc:
+                        w = row.get(c2, 0) - f * v2 if p is None else (row.get(c2, 0) - f * v2) % p
+                        if w:
+                            row[c2] = w
+                        else:
+                            row.pop(c2, None)
+            if p is None and (g := gcd(*row.values())) > 1:
+                row = {k: v // g for k, v in row.items()}
+            ints[c] = row
+            reduced[c] = row if p is not None else {k: Fraction(v, row[c]) for k, v in row.items()}
         return reduced

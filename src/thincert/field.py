@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Mapping, Union
 
 __all__ = ["FieldSpec", "FieldElement", "parse_scalar"]
 
@@ -19,6 +20,13 @@ Raw = Union[Fraction, int]
 _SCALAR_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 _new_element = object.__new__
+
+
+def common_denominator(cells: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
+    """Integer numerators ``n`` and one positive ``d`` with ``cells == n / d``,
+    ``d`` the lcm of the denominators: rational sums then stay on ``int``."""
+    d = lcm(*[v.denominator for v in cells.values()])
+    return {k: v.numerator * (d // v.denominator) for k, v in cells.items()}, d
 
 
 #: Miller-Rabin witnesses: the first 13 primes.
@@ -138,6 +146,8 @@ class FieldSpec:
                 raise ValueError(f"element of {value.spec!r} used with {self!r}")
             return value.value
         if self.modulus is None:
+            if type(value) is Fraction:
+                return value    # immutable and canonical already
             if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
                 raise ValueError(f"cannot coerce {value!r} into {self!r}")
             return Fraction(value)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .elimination import Eliminator
-from .field import FieldElement, FieldSpec, Raw
+from .field import FieldElement, FieldSpec, Raw, common_denominator
 
 __all__ = [
     "Vector",
@@ -99,14 +100,15 @@ class Vector:
     def dot(self, other: "Vector") -> FieldElement:
         if other.spec != self.spec or other.length != self.length:
             raise ValueError("dot product needs matching field and length")
-        spec = self.spec
-        mine = self.raw_cells()
-        acc = spec.zero
-        for i, el in other.entries:
-            v = mine.get(i)
-            if v is not None:
-                acc = spec.add(acc, spec.mul(v, el.value))
-        return FieldElement(spec, acc)
+        spec, p = self.spec, self.spec.modulus
+        if p is not None:
+            mine = self.raw_cells()
+            return FieldElement(spec, sum([v * el.value for i, el in other.entries
+                                           if (v := mine.get(i)) is not None]) % p)
+        mine, d = common_denominator(self.raw_cells())
+        theirs, e = common_denominator(other.raw_cells())
+        return FieldElement(spec, Fraction(sum([v * w for i, w in theirs.items()
+                                                if (v := mine.get(i)) is not None]), d * e))
 
     def scaled(self, factor: Scalarish) -> "Vector":
         f = self.spec.coerce(factor)
@@ -257,33 +259,44 @@ class SparseMatrix:
         """A @ v for a column vector over the columns."""
         if v.spec != self.spec or v.length != self.num_cols:
             raise ValueError("vector does not match the matrix columns")
-        spec = self.spec
-        cells = v.raw_cells()
+        spec, p = self.spec, self.spec.modulus
+        cells, d = (v.raw_cells(), 1) if p is not None else common_denominator(v.raw_cells())
         out = []
         for i, row in enumerate(self.rows):
-            acc = spec.zero
+            acc, den = 0, 1     # over Q: acc / (den * d), den the row's lcm so far
             for j, el in row:
-                w = cells.get(j)
-                if w is not None:
-                    acc = spec.add(acc, spec.mul(el.value, w))
-            if acc != 0:
-                out.append((i, acc))
+                if (w := cells.get(j)) is not None:
+                    a = el.value
+                    if p is not None:
+                        acc += a * w
+                        continue
+                    if den % a.denominator:
+                        m = a.denominator // gcd(den, a.denominator)
+                        acc, den = acc * m, den * m
+                    acc += a.numerator * (den // a.denominator) * w
+            if p is not None:
+                if acc := acc % p:
+                    out.append((i, acc))
+            elif acc:
+                out.append((i, Fraction(acc, den * d)))
         return Vector.from_pairs(spec, self.num_rows, out)
 
     def combine_rows(self, y: Vector) -> Vector:
         """y^T A as a vector over the columns."""
         if y.spec != self.spec or y.length != self.num_rows:
             raise ValueError("vector does not match the matrix rows")
-        spec = self.spec
-        acc: dict[int, Raw] = {}
-        for i, el in y.entries:
-            for j, a in self.rows[i]:
-                w = spec.add(acc.get(j, spec.zero), spec.mul(el.value, a.value))
-                if w == 0:
-                    acc.pop(j, None)
-                else:
-                    acc[j] = w
-        return Vector.from_pairs(spec, self.num_cols, acc.items())
+        spec, p, rows = self.spec, self.spec.modulus, self.rows
+        ys, d = (y.raw_cells(), 1) if p is not None else common_denominator(y.raw_cells())
+        # Over Q the rows used are scaled to integers by one lcm.
+        den = 1 if p is not None else lcm(*[a.value.denominator for i in ys for _, a in rows[i]])
+        acc: dict[int, int] = {}
+        for i, yi in ys.items():
+            for j, a in rows[i]:
+                a = a.value
+                w = yi * a if p is not None else yi * a.numerator * (den // a.denominator)
+                acc[j] = acc.get(j, 0) + w
+        return Vector.from_pairs(spec, self.num_cols, (
+            (j, w % p if p is not None else Fraction(w, den * d)) for j, w in acc.items()))
 
     def to_dense(self) -> list[list[FieldElement]]:
         zero = FieldElement(self.spec, self.spec.zero)
@@ -319,14 +332,14 @@ def _feed_all(matrix: SparseMatrix, rhs: Vector | None,
     elim = Eliminator(matrix.spec, track=track)
     rhs_cells = rhs.raw_cells() if rhs is not None else {}
     rows, zero = matrix.rows, matrix.spec.zero
-    order = range(len(rows)) if track else [i for i in rhs_cells if not rows[i]] + sorted(
-        compress(range(len(rows)), rows), key=lambda i: len(rows[i]))
+    # 0 = 0 rows leave the echelon form as it is, so they are never fed.
+    nonempty = compress(range(len(rows)), rows)
+    empty_rhs = [i for i in rhs_cells if not rows[i]]
+    order = sorted(chain(nonempty, empty_rhs)) if track else empty_rhs + sorted(
+        nonempty, key=lambda i: len(rows[i]))
     for i in order:
-        b = rhs_cells.get(i, zero)
-        if not rows[i] and b == 0:
-            continue        # 0 = 0 leaves the echelon form as it is
         elim.rows_seen = i
-        combo = elim.feed(matrix.raw_row(i), b)
+        combo = elim.feed(matrix.raw_row(i), rhs_cells.get(i, zero))
         if combo is not None:
             return elim, combo
     return elim, None

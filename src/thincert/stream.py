@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .elimination import Eliminator
-from .field import FieldElement, FieldSpec, Raw
+from .field import FieldElement, FieldSpec, Raw, common_denominator
 from .linalg import Vector
 
 __all__ = ["AllPrefixesSolvable", "UnsolvableAt", "StreamStatus", "StreamState"]
@@ -84,12 +84,13 @@ class StreamState:
         if not self.is_solvable:
             raise ValueError("stream has an unsolvable prefix")
         x = self._elim.solution()
+        p = self.spec.modulus
+        xs, d = (x, 1) if p is not None else common_denominator(x)
         for cells, rhs_raw in self._rows:
-            acc = self.spec.zero
-            for c, v in cells.items():
-                xv = x.get(c)
-                if xv is not None:
-                    acc = self.spec.add(acc, self.spec.mul(v, xv))
-            if acc != rhs_raw:
+            if p is None:   # the row is n / e: check (n . xs) / (e * d) == rhs
+                cells, e = common_denominator(cells)
+            acc = sum([v * xv for c, v in cells.items() if (xv := xs.get(c)) is not None])
+            if (acc % p != rhs_raw if p is not None else
+                    acc * rhs_raw.denominator != rhs_raw.numerator * e * d):
                 raise AssertionError("stream solution failed verification")
         return Vector.from_pairs(self.spec, self.num_cols, x.items())

@@ -79,19 +79,30 @@ def test_transpose_is_involution():
                {(j, i, e) for i, j, e in t.nonzeros()}
 
 
-def test_mul_vector_and_combine_rows_against_dense():
-    rng = random.Random(202)
-    for _ in range(20):
-        m = gen.dependent_cols_matrix(GF5, rng, max_rows=7, max_cols=7)
-        x = Vector.from_dense(GF5, [gen.rand_scalar(GF5, rng) for _ in range(m.num_cols)])
-        y = Vector.from_dense(GF5, [gen.rand_scalar(GF5, rng) for _ in range(m.num_rows)])
-        dense = m.to_dense()
-        ax = [sum((dense[i][j] * x.get(j)).value for j in range(m.num_cols)) % 5
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_mul_vector_and_combine_rows_against_dense(spec):
+    """Over Q the entries mix denominators 1, 2 and 3, so each matrix row
+    and each vector goes through its own common denominator."""
+    rng = random.Random(f"dense/{spec.modulus}")
+    p = spec.modulus
+
+    def canonical(total):
+        return total % p if p is not None else total
+
+    for _ in range(30):
+        m = gen.dependent_cols_matrix(spec, rng, max_rows=7, max_cols=7)
+        x, x2 = (Vector.from_dense(spec, [gen.rand_scalar(spec, rng) for _ in range(m.num_cols)])
+                 for _ in range(2))
+        y = Vector.from_dense(spec, [gen.rand_scalar(spec, rng) for _ in range(m.num_rows)])
+        dense = [[el.value for el in row] for row in m.to_dense()]
+        xs, x2s, ys = ([el.value for el in v.to_dense()] for v in (x, x2, y))
+        ax = [canonical(sum(dense[i][j] * xs[j] for j in range(m.num_cols)))
               for i in range(m.num_rows)]
         assert [e.value for e in m.mul_vector(x).to_dense()] == ax
-        ya = [sum((dense[i][j] * y.get(i)).value for i in range(m.num_rows)) % 5
+        ya = [canonical(sum(dense[i][j] * ys[i] for i in range(m.num_rows)))
               for j in range(m.num_cols)]
         assert [e.value for e in m.combine_rows(y).to_dense()] == ya
+        assert x.dot(x2).value == canonical(sum(a * b for a, b in zip(xs, x2s)))
 
 
 def test_submatrix_reindexes_in_given_order():
@@ -358,6 +369,22 @@ def test_solve_tracks_provenance_only_to_refute(spec, eliminators):
             assert [cells for _, cells in fed] == [m.raw_row(i) for i, _ in fed]
             assert [i for i, _ in fed] == sorted(i for i, _ in fed)
     assert kinds == {True, False}
+
+
+def test_refuted_solve_feeds_only_rows_that_can_matter(monkeypatch):
+    """Two million empty rows and one nonzero right-hand side, on the last
+    row: both passes of a refuted ``solve``, untracked and tracked, feed
+    that one row and nothing else."""
+    n = 2_000_000
+    fed = []
+    feed = Eliminator.feed
+    monkeypatch.setattr(Eliminator, "feed", lambda self, cells, rhs: (
+        fed.append((self.track, self.rows_seen)), feed(self, cells, rhs))[1])
+    m = SparseMatrix.from_entries(GF5, n, 3, {})
+    out = solve(m, Vector.from_pairs(GF5, n, [(n - 1, 3)]))
+    assert fed == [(False, n - 1), (True, n - 1)]
+    assert isinstance(out, UnsolvabilityCertificate)
+    assert out.y == Vector.from_pairs(GF5, n, [(n - 1, 1)])
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)

@@ -1,16 +1,20 @@
-"""Differential oracle: rank and kernel against sympy's DomainMatrix.
+"""Differential oracle: rank, kernel, solve and the reduced echelon form
+against sympy's DomainMatrix.
 
-Both ``rank`` and ``kernel_basis`` eliminate without provenance; sympy's
-sparse domain matrices give an independent computation over the same fields.
+``rank`` and ``kernel_basis`` eliminate without provenance; sympy's sparse
+domain matrices give an independent computation over the same fields.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import gen
-from thincert import FieldSpec, SparseMatrix, Vector, kernel_basis, rank, solve
+from thincert import (FieldSpec, SparseMatrix, UnsolvabilityCertificate, Vector,
+                      kernel_basis, rank, solve)
+from thincert.linalg import _feed_all
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -24,6 +28,13 @@ def to_sympy(spec, nrows, ncols, rows):
     conv = dom if spec.modulus is not None else (lambda v: dom(v.numerator, v.denominator))
     return DomainMatrix({i: {j: conv(v) for j, v in row.items()}
                          for i, row in enumerate(rows) if row}, (nrows, ncols), dom)
+
+
+def from_sympy(spec, v):
+    """Our raw value of a sympy domain element (GF(p) ones are symmetric)."""
+    if spec.modulus is None:
+        return Fraction(int(v.numerator), int(v.denominator))
+    return int(v) % spec.modulus
 
 
 def sparse_matrix_rows(spec, rng):
@@ -97,3 +108,71 @@ def test_hilbert_matrices_match_sympy():
         Fraction(int((v / lead).p), int((v / lead).q)) for v in theirs]
     # column n is the only free one, so the solution is x padded with zero
     assert solve(m, Vector.from_dense(qq, b)) == Vector.from_pairs(qq, n + 1, x.entries)
+
+
+def plain_back_reduction(spec, pivots):
+    """Unit-lead reduced echelon rows from an eliminator's pivot rows, by
+    ``FieldElement`` arithmetic (plain ``Fraction``s over Q)."""
+    reduced = {}
+    for c in sorted(pivots, reverse=True):
+        cells = pivots[c].cells
+        lead = spec.element(cells[c])
+        row = {cc: spec.element(v) / lead for cc, v in cells.items()}
+        for cc in [k for k in row if k != c and k in pivots]:
+            factor = row.pop(cc)
+            for c2, v2 in reduced[cc].items():
+                if c2 != cc:
+                    w = row.get(c2, spec.element(0)) - factor * v2
+                    if w:
+                        row[c2] = w
+                    else:
+                        row.pop(c2, None)
+        reduced[c] = row
+    return {c: {cc: el.value for cc, el in row.items()} for c, row in reduced.items()}
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_solve_and_reduced_pivots_match_sympy(spec):
+    """Half the right-hand sides are ``A x0`` for a random ``x0``, half are
+    random.  A consistent system must give the free-variables-zero solution
+    read off sympy's rref of ``[A|b]``; an inconsistent one (rank of
+    ``[A|b]`` above rank ``A``) must give a certificate.  The reduced
+    echelon rows must equal sympy's rref of ``A`` and a plain back-reduction
+    of the same pivot rows."""
+    rng = random.Random(f"sympy-solve/{spec.modulus}")
+    p = spec.modulus
+    verdicts = Counter()
+    for _ in range(60):
+        nrows, ncols, rows = sparse_matrix_rows(spec, rng)
+        m = SparseMatrix.from_entries(
+            spec, nrows, ncols, ((i, j, v) for i, row in enumerate(rows) for j, v in row.items()))
+        if rng.random() < 0.5:
+            x0 = [gen.rand_scalar(spec, rng) for _ in range(ncols)]
+            b = [sum((v * x0[j] for j, v in row.items()), start=spec.zero) for row in rows]
+            b = [v % p if p is not None else v for v in b]
+        else:
+            b = [gen.rand_scalar(spec, rng) for _ in range(nrows)]
+        dm = to_sympy(spec, nrows, ncols, rows)
+        aug = to_sympy(spec, nrows, ncols + 1,
+                       [{**row, ncols: bi} if bi else row for row, bi in zip(rows, b)])
+        out = solve(m, Vector.from_dense(spec, b))
+        if aug.rank() > dm.rank():
+            assert isinstance(out, UnsolvabilityCertificate)
+            verdicts["refuted"] += 1
+        else:
+            rref, pivots = aug.rref()
+            table = rref.to_list()
+            expect = [spec.zero] * ncols
+            for k, c in enumerate(pivots):
+                expect[c] = from_sympy(spec, table[k][ncols])
+            assert [el.value for el in out.to_dense()] == expect
+            verdicts["solved"] += 1
+
+        elim, _ = _feed_all(m, None)
+        reduced = elim.reduced_pivots()
+        assert reduced == plain_back_reduction(spec, elim.pivots)
+        rref, pivots = dm.rref()
+        table = rref.to_list()
+        assert reduced == {c: {j: from_sympy(spec, v) for j, v in enumerate(table[k]) if v}
+                           for k, c in enumerate(pivots)}
+    assert verdicts["refuted"] >= 10 and verdicts["solved"] >= 10
