@@ -57,10 +57,10 @@ class Dependence:
             raise ValueError(f"side must be 'col' or 'row', got {side!r}")
         if vector.is_zero:
             raise ValueError("kernel vector is zero")
-        target = matrix if side == "col" else matrix.transpose()
-        if vector.length != target.num_cols:
+        if vector.length != (matrix.num_cols if side == "col" else matrix.num_rows):
             raise ValueError("kernel vector has the wrong length")
-        if not target.mul_vector(vector).is_zero:
+        image = matrix.mul_vector(vector) if side == "col" else matrix.combine_rows(vector)
+        if not image.is_zero:
             raise ValueError("kernel vector fails to annihilate the matrix")
         return cls(vector, side)
 

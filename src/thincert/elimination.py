@@ -1,10 +1,13 @@
 """Incremental exact Gaussian elimination with optional row provenance.
 
 Rows arrive one at a time as sparse {column: raw value} dicts.  A tracking
-eliminator makes each reduced row remember the combination of original rows
-it was built from, so a row that vanishes with a nonzero right-hand side
-hands back a ready-made refutation combination.  Callers that only need the
-row space (rank, kernels) turn tracking off and skip that bookkeeping.
+eliminator keeps, for each pivot row, the trail of its reduction: the pivot
+columns it was reduced by and their integer multipliers, with its own row
+index, coefficient and divisor (the L factor of the elimination).  A row
+that vanishes with a nonzero right-hand side expands its trail once, through
+the trails of the pivots it reached, into the refutation combination of
+original rows.  Callers that only need the row space (rank, kernels) turn
+tracking off and skip even the trail.
 Elimination is forward only: a row is reduced while its lowest column has a
 pivot, and the first column without one leads it; pivot columns above the
 lead are left for back-substitution and ``reduced_pivots``.  Pivot columns
@@ -16,14 +19,18 @@ One loop reduces over both fields on plain ``int`` values, by the
 fraction-free step ``row = a*row - b*pivot`` with ``a`` the pivot's lead.
 Over GF(p) a pivot row is scaled to a unit lead when registered, so ``a`` is
 one and the step is taken mod p.  Over Q a row is cleared of denominators and
-divided after each step by the gcd of row, right-hand side and combination;
-a pivot row keeps a positive integer lead.  Every pivot row is proportional
-to its unit-lead form, so pivot columns, ``solution`` and ``reduced_pivots``
-(which divide by the lead) and refutations (scaled to coefficient one on the
-row fed) equal those of unit-lead elimination.  Back-substitution and
-``reduced_pivots`` stay on integers too: a back-substituted vector is integer
-numerators over one common denominator, and a reduced row is divided by its
-lead once, as it is emitted; ``Fraction``s are built only for the result.
+divided after each step by the gcd of row and right-hand side; a pivot row
+keeps a positive integer lead.  The trail does not enter that gcd, so a
+tracked pivot row equals an untracked one: a step records ``b`` times the
+divisor so far, and its ``a`` is folded into the earlier multipliers once,
+when the row is stored or vanishes.  Every pivot row is proportional to its
+unit-lead form, so pivot columns, ``solution`` and ``reduced_pivots`` (which
+divide by the lead) and refutations (scaled to coefficient one on the row
+fed) equal those of unit-lead elimination.  Back-substitution,
+``reduced_pivots`` and the expansion of a trail stay on integers too: a
+vector is integer numerators over one common denominator, and a reduced row
+is divided by its lead once, as it is emitted; ``Fraction``s are built only
+for the result.
 """
 
 from __future__ import annotations
@@ -36,29 +43,34 @@ from typing import Iterable
 from .field import FieldSpec, Raw
 
 
-def _divided(row: dict[int, int], rhs: int, combo: dict[int, int],
-             g: int) -> tuple[dict[int, int], int, dict[int, int]]:
-    """An integer row, right-hand side and combination divided exactly by ``g``."""
-    return ({c: v // g for c, v in row.items()}, rhs // g,
-            {i: y // g for i, y in combo.items()})
+def _divided(row: dict[int, int], rhs: int, g: int) -> tuple[dict[int, int], int]:
+    """An integer row and right-hand side divided exactly by ``g``."""
+    return {c: v // g for c, v in row.items()}, rhs // g
 
 
 class ReducedRow:
-    __slots__ = ("cells", "rhs", "combo")
+    __slots__ = ("cells", "rhs", "combo", "own", "num", "div")
 
-    def __init__(self, cells: dict[int, Raw], rhs: Raw, combo: dict[int, Raw]):
+    def __init__(self, cells: dict[int, Raw], rhs: Raw, combo: dict[int, int],
+                 own: int, num: int, div: int):
         # column -> value; the pivot column min(cells) holds one over GF(p),
         # a positive integer lead over Q (where every value is an int)
         self.cells = cells
         self.rhs = rhs
-        self.combo = combo      # original row index -> coefficient; {} untracked
+        # The trail, {} untracked: pivot column c -> integer multiplier.  The
+        # row is (num * row ``own`` - sum of combo[c] * pivot row c) / div;
+        # over GF(p) num is one and ``div`` holds the inverse of the divisor.
+        self.combo = combo
+        self.own = own
+        self.num = num
+        self.div = div
 
 
 class Eliminator:
     """Echelon state over a growing list of rows.
 
-    With ``track`` every pivot row carries its provenance combination; without
-    it ``combo`` stays empty and refutations carry no combination.
+    With ``track`` every pivot row carries its trail; without it ``combo``
+    stays empty and refutations carry no combination.
     """
 
     __slots__ = ("spec", "pivots", "rows_seen", "track")
@@ -77,29 +89,32 @@ class Eliminator:
     def feed(self, cells: dict[int, Raw], rhs: Raw) -> dict[int, Raw] | None:
         """Reduce one row, lowest column first, until that column has no pivot.
 
-        Returns the provenance combination (empty when untracked) when the
-        row vanishes with a nonzero right-hand side (a contradiction), and
-        None otherwise; a combination gives the row fed coefficient one.  A
-        surviving row is registered as a new pivot, scaled to a unit lead
-        over GF(p) and to a primitive integer row with a positive lead over
-        Q.  ``cells`` is never mutated.
+        Returns the provenance combination, expanded from the trails (empty
+        when untracked), when the row vanishes with a nonzero right-hand side
+        (a contradiction), and None otherwise; a combination gives the row
+        fed coefficient one.  A surviving row is registered as a new pivot,
+        scaled to a unit lead over GF(p) and to a primitive integer row with
+        a positive lead over Q.  ``cells`` is never mutated.
         """
         p = self.spec.modulus
         pivots = self.pivots
+        track = self.track
         k = self.rows_seen
         self.rows_seen = k + 1
+        # The row equals (num * row k - sum of trail[c] * pivot row c) / div,
+        # but over Q each trail[c] still lacks the factors ``a`` of later steps.
+        trail: dict[int, int] = {}
+        scales: list[int] = []
+        num = div = 1
         if p is None:
-            den = lcm(rhs.denominator, *[v.denominator for v in cells.values()])
-            row = {c: n for c, v in cells.items() if (n := v.numerator * (den // v.denominator))}
-            rhs = rhs.numerator * (den // rhs.denominator)
-            # The integer row is ``den`` times the row fed.
-            combo: dict[int, int] = {k: den} if self.track else {}
-            g = gcd(*row.values(), rhs, *combo.values())
-            if g > 1:
-                row, rhs, combo = _divided(row, rhs, combo, g)
+            num = lcm(rhs.denominator, *[v.denominator for v in cells.values()])
+            row = {c: n for c, v in cells.items() if (n := v.numerator * (num // v.denominator))}
+            rhs = rhs.numerator * (num // rhs.denominator)
+            div = gcd(*row.values(), rhs)
+            if div > 1:
+                row, rhs = _divided(row, rhs, div)
         else:
             row = {c: v for c, v in cells.items() if v != 0}
-            combo = {k: 1} if self.track else {}
         # Min-heap of the row's columns, pushed as they enter the row; an entry
         # whose column has cancelled is skipped.  Reducing by the pivot at h
         # only touches columns above h, so the top live entry is the row's
@@ -122,7 +137,6 @@ class Eliminator:
                 if a != 1:
                     row = {c: a * v for c, v in row.items()}
                     rhs *= a
-                    combo = {i: a * y for i, y in combo.items()}
             # row = a*row - b*pivot, reduced mod p over GF(p)
             for c, v in piv.cells.items():
                 if c == hit:
@@ -138,33 +152,79 @@ class Eliminator:
                     else:
                         del row[c]
             rhs = rhs - b * piv.rhs if p is None else (rhs - b * piv.rhs) % p
-            for i, y in piv.combo.items():
-                w = combo.get(i, 0) - b * y if p is None else (combo.get(i, 0) - b * y) % p
-                if w:
-                    combo[i] = w
-                else:
-                    combo.pop(i, None)
+            if track:
+                trail[hit] = b * div
+                if p is None:
+                    scales.append(a)
             if p is None:
-                g = gcd(*row.values(), rhs, *combo.values())
+                g = gcd(*row.values(), rhs)
                 if g > 1:
-                    row, rhs, combo = _divided(row, rhs, combo, g)
+                    row, rhs = _divided(row, rhs, g)
+                    if track:
+                        div *= g
+        if scales:      # fold each step's later factors a into its multiplier
+            m = 1
+            for c, a in zip(reversed(trail), reversed(scales)):
+                trail[c] *= m
+                m *= a
+            num *= m
         if row:         # the loop stopped at the lead column ``hit``, of value b
             if p is None:
                 if b < 0:
-                    row, rhs, combo = _divided(row, rhs, combo, -1)
+                    row, rhs = _divided(row, rhs, -1)
+                    div = -div
             elif b != 1:
-                s = self.spec.inv(b)
-                row = {c: s * v % p for c, v in row.items()}
-                rhs = s * rhs % p
-                combo = {i: s * y % p for i, y in combo.items()}
-            pivots[hit] = ReducedRow(row, rhs, combo)
+                div = self.spec.inv(b)
+                row = {c: div * v % p for c, v in row.items()}
+                rhs = div * rhs % p
+            pivots[hit] = ReducedRow(row, rhs, trail, k, num, div)
             return None
         if rhs == 0:
             return None
-        if p is not None or not self.track:
-            return combo
-        own = combo[k]
-        return {i: Fraction(y, own) for i, y in combo.items()}
+        return self._expand(k, trail, num) if track else {}
+
+    def _expand(self, k: int, trail: dict[int, int], d: int) -> dict[int, Raw]:
+        """The combination of row ``k`` minus trail[c] / d times the
+        combination of pivot row c, as {row index: coefficient}.
+
+        A sparse triangular solve: the pivots reached are visited from the
+        highest column down, since a trail names only pivot columns below
+        its lead, so a pivot's weight is complete when it is visited.  Each
+        pivot contributes to its own row alone.  Over Q the weights and the
+        result are integers over one common denominator ``d``, widened (and
+        they rescaled) only when a pivot's divisor does not divide its
+        weight; ``Fraction``s are built only for the result."""
+        p = self.spec.modulus
+        pivots = self.pivots
+        weights = {c: -b for c, b in trail.items()}
+        heap = [-c for c in weights]
+        heapify(heap)
+        out = {k: 1 if p is not None else d}
+        while heap:
+            c = -heappop(heap)
+            y, r = weights.pop(c), pivots[c]
+            if p is not None:
+                if not (y := y * r.div % p):
+                    continue
+                out[r.own] = y      # a GF(p) pivot has num one
+            else:
+                if not y:
+                    continue
+                m = abs(r.div) // gcd(y, r.div)
+                if m != 1:
+                    weights = {i: m * v for i, v in weights.items()}
+                    out = {i: m * v for i, v in out.items()}
+                    y, d = m * y, m * d
+                y //= r.div
+                out[r.own] = y * r.num
+            for cc, b in r.combo.items():
+                w = weights.get(cc)
+                if w is None:
+                    weights[cc] = -y * b
+                    heappush(heap, -cc)
+                else:
+                    weights[cc] = w - y * b
+        return out if p is not None else {i: Fraction(v, d) for i, v in out.items()}
 
     def solution(self) -> dict[int, Raw]:
         """Back-substitute a solution with every free variable set to zero."""

@@ -259,9 +259,15 @@ class SparseMatrix:
         """A @ v for a column vector over the columns."""
         if v.spec != self.spec or v.length != self.num_cols:
             raise ValueError("vector does not match the matrix columns")
-        spec, p = self.spec, self.spec.modulus
-        cells, d = (v.raw_cells(), 1) if p is not None else common_denominator(v.raw_cells())
-        out = []
+        spec, box = self.spec, FieldElement._canonical
+        return Vector(spec, self.num_rows, tuple(
+            (i, box(spec, w)) for i, w in self._mul_raw(v.raw_cells()).items()))
+
+    def _mul_raw(self, x: dict[int, Raw]) -> dict[int, Raw]:
+        """A @ x on raw cells: {row: nonzero raw value}, in row order."""
+        p = self.spec.modulus
+        cells, d = (x, 1) if p is not None else common_denominator(x)
+        out: dict[int, Raw] = {}
         for i, row in enumerate(self.rows):
             acc, den = 0, 1     # over Q: acc / (den * d), den the row's lcm so far
             for j, el in row:
@@ -276,10 +282,10 @@ class SparseMatrix:
                     acc += a.numerator * (den // a.denominator) * w
             if p is not None:
                 if acc := acc % p:
-                    out.append((i, acc))
+                    out[i] = acc
             elif acc:
-                out.append((i, Fraction(acc, den * d)))
-        return Vector.from_pairs(spec, self.num_rows, out)
+                out[i] = Fraction(acc, den * d)
+        return out
 
     def combine_rows(self, y: Vector) -> Vector:
         """y^T A as a vector over the columns."""
@@ -412,10 +418,12 @@ def solve(matrix: SparseMatrix, rhs: Vector) -> Vector | UnsolvabilityCertificat
         _, combo = _feed_all(matrix, rhs, track=True)
         y = _normalized(matrix.spec, matrix.num_rows, combo)
         return UnsolvabilityCertificate.checked(matrix, rhs, y)
-    x = Vector.from_pairs(matrix.spec, matrix.num_cols, elim.solution().items())
-    if matrix.mul_vector(x) != rhs:
+    x = elim.solution()
+    # Raw cells on both sides: a row where either side is zero is a key of
+    # one dict only, so every row is compared.
+    if matrix._mul_raw(x) != rhs.raw_cells():
         raise AssertionError("solution failed verification")
-    return x
+    return Vector.from_pairs(matrix.spec, matrix.num_cols, x.items())
 
 
 def unsolvable_core(matrix: SparseMatrix, rhs: Vector, minimize: bool = False) -> frozenset[int]:

@@ -60,6 +60,22 @@ def test_dependence_row_side():
         Dependence.checked(m, Vector.from_dense(QQ, [2, -1]), side="col")
 
 
+@pytest.mark.parametrize("spec", [GF5, QQ], ids=str)
+def test_dependence_row_side_rejects_bad_vectors(spec, monkeypatch):
+    """The row side checks y^T A = 0 on the matrix itself, with no transpose,
+    and still rejects a vector that fails it or has the column count's
+    length."""
+    monkeypatch.setattr(SparseMatrix, "transpose", None)
+    m = SparseMatrix.from_dense(spec, [[1, 3, 0], [2, 6, 0]])      # 2 x 3
+    assert Dependence.checked(m, Vector.from_dense(spec, [2, -1]), side="row").side == "row"
+    with pytest.raises(ValueError, match="fails to annihilate"):
+        Dependence.checked(m, Vector.from_dense(spec, [1, -1]), side="row")
+    with pytest.raises(ValueError, match="wrong length"):
+        Dependence.checked(m, Vector.from_dense(spec, [2, -1, 0]), side="row")
+    with pytest.raises(ValueError, match="wrong length"):
+        Dependence.checked(m, Vector.from_dense(spec, [1]), side="row")
+
+
 def test_bijection_checked_validation():
     m = SparseMatrix.from_dense(GF5, [[0, 1], [1, 0]])
     b = Bijection.checked(m, {0: 1, 1: 0})
@@ -249,11 +265,14 @@ def test_diagonalize_random_rectangular():
 
 def test_one_verification_per_returned_vector(monkeypatch):
     """A dependence is found without building the whole kernel basis: the
-    certificate's own check is the only product with the matrix."""
+    certificate's own check is the only product with the matrix, A v on
+    the column side and y^T A on the row side."""
     products = []
-    mul_vector = SparseMatrix.mul_vector
+    mul_vector, combine_rows = SparseMatrix.mul_vector, SparseMatrix.combine_rows
     monkeypatch.setattr(SparseMatrix, "mul_vector",
                         lambda self, v: products.append(v) or mul_vector(self, v))
+    monkeypatch.setattr(SparseMatrix, "combine_rows",
+                        lambda self, y: products.append(y) or combine_rows(self, y))
     rng = random.Random(6666)
     for spec in FIELDS:
         for _ in range(10):

@@ -116,20 +116,34 @@ def scaled(spec, cells, factor):
 
 
 def unit_lead(spec, r, c):
-    """A stored pivot row as (cells, rhs, combo) scaled to a unit lead.
+    """A stored pivot row as (cells, rhs) scaled to a unit lead.
 
     Over GF(p) the row is stored with a unit lead and is returned as it is.
-    Over Q it must be an integer row with a positive lead whose entries,
-    right-hand side and combination have no common factor; it is divided by
-    that lead."""
+    Over Q it must be an integer row with a positive lead whose entries and
+    right-hand side have no common factor; it is divided by that lead."""
     assert min(r.cells) == c
     if spec.is_prime_field:
-        return r.cells, r.rhs, r.combo
-    values = [*r.cells.values(), r.rhs, *r.combo.values()]
+        return r.cells, r.rhs
+    values = [*r.cells.values(), r.rhs]
     assert all(type(v) is int for v in values)
     assert r.cells[c] > 0 and gcd(*values) == 1
     inv = Fraction(1, r.cells[c])
-    return scaled(spec, r.cells, inv), spec.mul(inv, r.rhs), scaled(spec, r.combo, inv)
+    return scaled(spec, r.cells, inv), spec.mul(inv, r.rhs)
+
+
+def expanded(spec, elim, c, memo):
+    """The combination of original rows that the stored pivot row at ``c``
+    is: (num * row ``own`` - sum of trail[cc] * pivot row cc) / div, where
+    over GF(p) ``div`` holds the inverse of the divisor."""
+    if c not in memo:
+        r = elim.pivots[c]
+        combo = {r.own: spec.coerce(r.num)}
+        for cc, b in r.combo.items():
+            for i, y in expanded(spec, elim, cc, memo).items():
+                combo[i] = spec.sub(combo.get(i, spec.zero), spec.mul(spec.coerce(b), y))
+        factor = spec.coerce(r.div) if spec.is_prime_field else Fraction(1, r.div)
+        memo[c] = {i: spec.mul(factor, y) for i, y in combo.items() if y != 0}
+    return memo[c]
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
@@ -148,13 +162,32 @@ def test_tracked_and_untracked_agree(spec):
         assert tracked.rank == untracked.rank
         assert tracked.pivots.keys() == untracked.pivots.keys()
         for c, r in untracked.pivots.items():
-            cells, rhs, combo = unit_lead(spec, r, c)
-            tracked_cells, tracked_rhs, _ = unit_lead(spec, tracked.pivots[c], c)
-            assert cells == tracked_cells and rhs == tracked_rhs
+            cells, rhs = unit_lead(spec, r, c)
+            assert (cells, rhs) == unit_lead(spec, tracked.pivots[c], c)
             assert cells[c] == spec.one
-            assert combo == {}
+            assert r.combo == {}
         assert tracked.reduced_pivots() == untracked.reduced_pivots()
         assert tracked.solution() == untracked.solution()
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_tracked_pivot_rows_equal_untracked(spec):
+    """The trail never enters a row's reduction, so tracked and untracked
+    eliminators store the very same pivot rows: over Q the per-step gcd sees
+    the row and right-hand side alone."""
+    rng = random.Random(f"same-rows/{spec.modulus}")
+    for trial in range(30):
+        ncols = rng.randint(1, 12)
+        rows = (big_rows(rng, rng.randint(1, 14), ncols) if spec is QQ and trial % 2
+                else random_rows(spec, rng, rng.randint(1, 18), ncols))
+        tracked, untracked = Eliminator(spec), Eliminator(spec, track=False)
+        for cells, rhs in rows:
+            tracked.feed(cells, rhs)
+            untracked.feed(cells, rhs)
+        assert tracked.pivots.keys() == untracked.pivots.keys()
+        for c, r in tracked.pivots.items():
+            assert (r.cells, r.rhs) == (untracked.pivots[c].cells, untracked.pivots[c].rhs)
+            assert untracked.pivots[c].combo == {}
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
@@ -171,8 +204,9 @@ def test_matches_scan_reduction(spec):
 
 def assert_matches_reference(spec, rows):
     """The full reduction is the oracle for everything but the stored pivot
-    rows, which the forward reduction pins."""
-    elim, ref, forward = Eliminator(spec), {}, {}
+    rows and the combinations their trails expand to, which the forward
+    reduction pins."""
+    elim, ref, forward, memo = Eliminator(spec), {}, {}, {}
     for k, (cells, rhs) in enumerate(rows):
         refutation = reference_feed(spec, ref, k, cells, rhs)
         assert elim.feed(cells, rhs) == refutation
@@ -180,10 +214,11 @@ def assert_matches_reference(spec, rows):
     assert elim.pivots.keys() == ref.keys() == forward.keys()
     for c, (cells, rhs, combo) in forward.items():
         inv = spec.inv(cells[c])
-        r_cells, r_rhs, r_combo = unit_lead(spec, elim.pivots[c], c)
+        r_cells, r_rhs = unit_lead(spec, elim.pivots[c], c)
         assert r_cells == scaled(spec, cells, inv)
         assert r_rhs == spec.mul(inv, rhs)
-        assert r_combo == scaled(spec, combo, inv)
+        r_inv = spec.inv(spec.coerce(elim.pivots[c].cells[c]))
+        assert scaled(spec, expanded(spec, elim, c, memo), r_inv) == scaled(spec, combo, inv)
     x, rref = elim.solution(), elim.reduced_pivots()
     assert x == reference_solution(spec, ref)
     assert rref == reference_rref(spec, ref)
@@ -277,9 +312,11 @@ def test_rational_rhs_alone_carries_a_denominator():
     elim = Eliminator(QQ)
     assert elim.feed(*rows[0]) is None
     assert elim.feed(*rows[1]) is None
-    # 3 * row 0 clears the rhs denominator; the lead then turns positive
+    # 3 * row 0 clears the rhs denominator; the lead then turns positive,
+    # so the stored row is 3 * row 0 / -1, with an empty trail
     piv = elim.pivots[0]
-    assert (piv.cells, piv.rhs, piv.combo) == ({0: 6, 1: -12}, -1, {0: -3})
+    assert (piv.cells, piv.rhs, piv.combo) == ({0: 6, 1: -12}, -1, {})
+    assert (piv.own, piv.num, piv.div) == (0, 3, -1)
     refutation = elim.feed(*rows[2])
     assert refutation == {0: half, 2: Fraction(1)}
     assert all(type(y) is Fraction for y in refutation.values())
@@ -308,6 +345,42 @@ def test_rational_stream_latches_like_fraction_replay(big):
             assert st.status == expect
         latched += not st.is_solvable
     assert latched >= 5
+
+
+def test_deep_trail_stream_latches_like_reference_replay():
+    """A GF(1000003) stream of 2,400 rows on a triangular spine: row i meets
+    columns i - 1 and i (and now and then a lower column), so pivot i's
+    trail names pivot i - 1 and the expansion of a refutation runs down the
+    whole spine.  Dependent rows with a kept right-hand side follow, and
+    some with a perturbed one that meet the last column; the stream latches
+    at the prefix, and with the core, that a replay through the reference
+    reduction gives."""
+    spec, rng = GFP, random.Random("deep-trail")
+    n = 2000
+    x0 = [gen.rand_scalar(spec, rng) for _ in range(n)]
+    rows = []
+    for i in range(n):
+        cells = {i: gen.rand_nonzero(spec, rng)}
+        if i:
+            cells[i - 1] = gen.rand_nonzero(spec, rng)
+        if i > 1 and rng.random() < 0.1:
+            cells[rng.randrange(i - 1)] = gen.rand_nonzero(spec, rng)
+        rows.append((cells, dot(spec, cells, x0)))
+    for k in range(400):
+        perturbed = k in (150, 151, 300)
+        cols = rng.sample(range(n - 1), 3) + [n - 1] * perturbed
+        cells = {c: gen.rand_nonzero(spec, rng) for c in cols}
+        rhs = dot(spec, cells, x0)
+        rows.append((cells, spec.add(rhs, spec.one) if perturbed else rhs))
+    st, ref, expect = StreamState(spec), {}, AllPrefixesSolvable()
+    for k, (cells, rhs) in enumerate(rows):
+        st.push(cells.items(), rhs)
+        if expect == AllPrefixesSolvable():
+            combo = reference_feed(spec, ref, k, cells, rhs, forward=True)
+            if combo is not None:
+                expect = UnsolvableAt(k + 1, frozenset(combo))
+        assert st.status == expect
+    assert expect.prefix_len == n + 151 and len(expect.core) > n // 2
 
 
 def dot(spec, cells, x):

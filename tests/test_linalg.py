@@ -279,6 +279,22 @@ def test_solve_results_verify_densely():
                 assert out.y.dot(rhs) != 0
 
 
+@pytest.mark.parametrize("spec", [GF5, QQ], ids=str)
+def test_solve_rejects_a_wrong_solution(spec, monkeypatch):
+    """The solution check compares every row, those with a zero right-hand
+    side included, so a wrong ``Eliminator.solution`` still raises."""
+    m = SparseMatrix.from_dense(spec, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    rhs = Vector.from_dense(spec, [1, 0, 3])
+    assert solve(m, rhs) == Vector.from_dense(spec, [4, -3, 3])
+    for wrong in ({0: 1, 2: 3},             # row 1 gives 3 where the rhs is zero
+                  {0: 3, 1: -3, 2: 3},      # row 0 gives zero where the rhs is one
+                  {}):
+        monkeypatch.setattr(Eliminator, "solution", lambda self, x=wrong: {
+            c: spec.coerce(v) for c, v in x.items()})
+        with pytest.raises(AssertionError, match="solution failed verification"):
+            solve(m, rhs)
+
+
 def test_certificate_checked_rejects_bad_witness():
     m = SparseMatrix.from_dense(QQ, [[1, 1], [1, 1]])
     rhs = Vector.from_dense(QQ, [0, 1])
