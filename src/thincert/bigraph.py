@@ -8,6 +8,7 @@ adjacency lists, so equal inputs give equal matchings everywhere.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
@@ -78,14 +79,17 @@ class SupportGraph:
         self._index(sorted(cols), {i: tuple(sorted(s)) for i, s in rows.items()})
 
     def _index(self, left: Iterable[int], radj: dict[int, tuple[int, ...]]) -> None:
-        """Index sorted columns and rows; rows ascend, each a sorted tuple of columns."""
-        adj: dict[int, list[int]] = {j: [] for j in left}
+        """Index sorted columns and rows; rows ascend, each a sorted tuple of
+        columns.  Every column without an edge shares one empty tuple."""
+        hits: defaultdict[int, list[int]] = defaultdict(list)
         for i, js in radj.items():
             for j in js:
-                adj[j].append(i)
+                hits[j].append(i)
+        adj: dict[int, tuple[int, ...]] = dict.fromkeys(left, ())
+        adj.update(zip(hits, map(tuple, hits.values())))
         self.left = tuple(adj)
         self.right = tuple(radj)
-        self.adj = {j: tuple(rows) for j, rows in adj.items()}
+        self.adj = adj
         self.radj = radj
 
     def neighbours(self, col: int) -> tuple[int, ...]:
@@ -152,7 +156,7 @@ def support_graph(matrix: "SparseMatrix") -> SupportGraph:
     """The bipartite graph whose edges are the nonzero positions of the matrix."""
     graph = SupportGraph.__new__(SupportGraph)
     graph._index(range(matrix.num_cols),
-                 {i: tuple([j for j, _ in row]) for i, row in enumerate(matrix.rows)})
+                 {i: tuple(row) for i, row in enumerate(matrix._cells)})
     return graph
 
 
@@ -170,7 +174,9 @@ def max_matching(graph: SupportGraph) -> Matching:
     dead: set[int] = set()
     for root in graph.left:
         rows = adj[root]
-        if rows and rows[0] not in match_row:   # the search's first step
+        if not rows:            # no search can match a column without edges
+            continue
+        if rows[0] not in match_row:    # the search's first step
             match_row[rows[0]] = root
             continue
         banned: set[int] = set()

@@ -8,7 +8,7 @@ comments, one trailing newline).
 
 from __future__ import annotations
 
-from .field import FieldElement, FieldSpec, parse_scalar
+from .field import FieldElement, FieldSpec, Raw, parse_scalar
 from .linalg import SparseMatrix
 
 __all__ = [
@@ -31,8 +31,9 @@ def _fail(lineno: int, why: str) -> None:
 def parse_matrix(text: str) -> SparseMatrix:
     """Parse the line-oriented matrix format into a SparseMatrix.
 
-    Each distinct scalar token is parsed and boxed once, so equal tokens
-    share one immutable element; the matrix is built without re-boxing.
+    Each distinct scalar token is parsed and checked once, and equal tokens
+    share its raw value; the matrix is built from these raw rows unchecked,
+    since every check of the public constructor has been made here.
     """
     spec: FieldSpec | None = None
     dims: tuple[int, int] | None = None
@@ -68,8 +69,12 @@ def parse_matrix(text: str) -> SparseMatrix:
     if dims is None:
         raise MatrixFormatError("missing dimension line")
     nr, nc = dims
-    per_row: dict[int, dict[int, FieldElement]] = {}
-    boxed: dict[str, FieldElement] = {}
+    per_row: dict[int, dict[int, Raw]] = {}
+    values: dict[str, Raw] = {}
+    parse_raw = spec.parse_raw
+    # Rows are sorted at the end only if some row's columns may not ascend:
+    # a row continued on the next line with a lower column, or resumed later.
+    in_order, last_i, last_j = True, -1, -1
     for lineno, raw_line in lines:
         if "#" in raw_line:
             raw_line = raw_line.split("#", 1)[0]
@@ -90,16 +95,21 @@ def parse_matrix(text: str) -> SparseMatrix:
             cells = per_row[i] = {}
         elif j in cells:
             _fail(lineno, f"duplicate entry at ({i}, {j})")
-        el = boxed.get(token)
-        if el is None:
+        elif i != last_i or j < last_j:
+            in_order = False
+        last_i, last_j = i, j
+        value = values.get(token)
+        if value is None:
             try:
-                el = boxed[token] = parse_scalar(token, spec)
+                value = values[token] = parse_raw(token)
             except (ValueError, ZeroDivisionError) as exc:
                 _fail(lineno, str(exc))
-            if el.value == 0:
+            if value == 0:
                 _fail(lineno, "explicit zero entries are not allowed")
-        cells[j] = el
-    return SparseMatrix._from_cells(spec, nr, nc, per_row)
+        cells[j] = value
+    if not in_order:
+        per_row = {i: dict(sorted(cells.items())) for i, cells in per_row.items()}
+    return SparseMatrix._trusted(spec, nr, nc, per_row)
 
 
 def render_matrix(matrix: SparseMatrix) -> str:
@@ -107,8 +117,10 @@ def render_matrix(matrix: SparseMatrix) -> str:
     spec = matrix.spec
     head = "field rational" if not spec.is_prime_field else f"field gf {spec.modulus}"
     lines = [head, f"{matrix.num_rows} {matrix.num_cols}"]
-    for i, j, el in matrix.nonzeros():
-        lines.append(f"{i} {j} {el}")
+    render = spec.render_raw
+    for i, row in enumerate(matrix._cells):
+        for j, v in row.items():
+            lines.append(f"{i} {j} {render(v)}")
     return "\n".join(lines) + "\n"
 
 

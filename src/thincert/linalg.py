@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .elimination import Eliminator
@@ -119,9 +120,19 @@ class Vector:
         return " ".join(str(el) for el in self.to_dense())
 
 
+#: The row of every matrix with no entries in it: one read-only empty mapping.
+_EMPTY_ROW: Mapping[int, Raw] = MappingProxyType({})
+
+
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Row-major sparse matrix; each row is a sorted tuple of (col, element)."""
+    """Row-major sparse matrix; each row is a sorted tuple of (col, element).
+
+    Rows are stored raw: a ``{col: nonzero raw value}`` dict per row, in
+    column order, with empty rows sharing one read-only mapping.  ``rows`` is
+    boxed from them on first access and cached.  The public constructor takes
+    ``rows`` and validates them; internal builders use ``_trusted``.
+    """
 
     spec: FieldSpec
     num_rows: int
@@ -146,6 +157,67 @@ class SparseMatrix:
                 if not el:
                     raise ValueError("explicit zero entry")
                 prev = col
+        object.__setattr__(self, "_cells", tuple(
+            {col: el.value for col, el in row} or _EMPTY_ROW for row in self.rows))
+
+    @classmethod
+    def _trusted(cls, spec: FieldSpec, num_rows: int, num_cols: int,
+                 per_row: Mapping[int, dict[int, Raw]]) -> "SparseMatrix":
+        """The matrix of ``{row: {col: raw value}}`` cells, used as they are.
+
+        The caller has made the public constructor's checks: every index is
+        in range, every value is a nonzero raw value canonical for ``spec``,
+        and each row's columns ascend.  Absent and empty rows share one
+        empty row.
+        """
+        rows = [_EMPTY_ROW] * num_rows
+        for i, cells in per_row.items():
+            if cells:
+                rows[i] = cells
+        m = object.__new__(cls)
+        m.__dict__.update(spec=spec, num_rows=num_rows, num_cols=num_cols, _cells=tuple(rows))
+        return m
+
+    @classmethod
+    def _from_cells(cls, spec: FieldSpec, num_rows: int, num_cols: int,
+                    per_row: Mapping[int, Mapping[int, FieldElement]]) -> "SparseMatrix":
+        """``_trusted`` on ``{row: {col: nonzero element}}`` cells, in any order."""
+        return cls._trusted(spec, num_rows, num_cols, {
+            i: {j: el.value for j, el in sorted(cells.items())} for i, cells in per_row.items()})
+
+    def __getattr__(self, name: str):
+        # Only ``rows`` can be missing, on a trusted matrix: box it once.
+        if name != "rows":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = self._boxed_rows()
+        object.__setattr__(self, "rows", rows)
+        return rows
+
+    def _boxed_rows(self) -> tuple[tuple[tuple[int, FieldElement], ...], ...]:
+        """The ``rows`` view.  Each stored raw object is boxed once, so entries
+        that share a raw value (equal tokens of one file) share an element."""
+        spec, box = self.spec, FieldElement._canonical
+        elements: dict[int, FieldElement] = {}     # id of a stored raw value -> its box
+        out = []
+        for row in self._cells:
+            pairs = []
+            for j, v in row.items():
+                el = elements.get(id(v))
+                if el is None:
+                    el = elements[id(v)] = box(spec, v)
+                pairs.append((j, el))
+            out.append(tuple(pairs))
+        return tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.spec, self.num_rows, self.num_cols, self._cells) == (
+            other.spec, other.num_rows, other.num_cols, other._cells)
+
+    def __reduce__(self):
+        # The read-only empty row cannot be pickled: rebuild from ``rows``.
+        return type(self), (self.spec, self.num_rows, self.num_cols, self.rows)
 
     @classmethod
     def from_entries(cls, spec: FieldSpec, num_rows: int, num_cols: int,
@@ -164,21 +236,8 @@ class SparseMatrix:
             if j in cells:
                 raise ValueError(f"duplicate entry at ({i}, {j})")
             cells[j] = spec.coerce(v)
-        box = FieldElement._canonical
-        return cls._from_cells(spec, num_rows, num_cols, {
-            i: {j: box(spec, v) for j, v in cells.items() if v != 0}
-            for i, cells in per_row.items()})
-
-    @classmethod
-    def _from_cells(cls, spec: FieldSpec, num_rows: int, num_cols: int,
-                    per_row: Mapping[int, Mapping[int, FieldElement]]) -> "SparseMatrix":
-        """The matrix of ``{row: {col: nonzero element}}`` cells, elements used
-        as they are; a row is sorted only if its columns arrived out of order."""
-        rows: list[tuple[tuple[int, FieldElement], ...]] = [()] * num_rows
-        for i, cells in per_row.items():
-            row = tuple(cells.items())
-            rows[i] = tuple(sorted(row)) if len(row) > 1 and list(cells) != sorted(cells) else row
-        return cls(spec, num_rows, num_cols, tuple(rows))
+        return cls._trusted(spec, num_rows, num_cols, {
+            i: {j: v for j, v in sorted(cells.items()) if v != 0} for i, cells in per_row.items()})
 
     @classmethod
     def from_dense(cls, spec: FieldSpec, grid: Sequence[Sequence[Scalarish]],
@@ -197,45 +256,41 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return sum(map(len, self._cells))
 
     def entry(self, i: int, j: int) -> FieldElement:
         if not (0 <= i < self.num_rows and 0 <= j < self.num_cols):
             raise IndexError((i, j))
-        for col, el in self.rows[i]:
-            if col == j:
-                return el
-            if col > j:
-                break
-        return FieldElement(self.spec, self.spec.zero)
+        return FieldElement._canonical(self.spec, self._cells[i].get(j, self.spec.zero))
 
     def nonzeros(self) -> Iterable[tuple[int, int, FieldElement]]:
-        for i, row in enumerate(self.rows):
-            for j, el in row:
-                yield i, j, el
+        spec, box = self.spec, FieldElement._canonical
+        for i, row in enumerate(self._cells):
+            for j, v in row.items():
+                yield i, j, box(spec, v)
 
     def raw_row(self, i: int) -> dict[int, Raw]:
-        return {j: el.value for j, el in self.rows[i]}
+        return dict(self._cells[i])
 
     def column(self, j: int) -> Vector:
         if not 0 <= j < self.num_cols:
             raise IndexError(j)
-        pairs = []
-        for i, row in enumerate(self.rows):
-            for col, el in row:
-                if col == j:
-                    pairs.append((i, el))
-                elif col > j:
-                    break
-        return Vector(self.spec, self.num_rows, tuple(pairs))
+        spec, box = self.spec, FieldElement._canonical
+        return Vector(spec, self.num_rows, tuple(
+            (i, box(spec, v)) for i, row in enumerate(self._cells)
+            if (v := row.get(j)) is not None))
 
     def transpose(self) -> "SparseMatrix":
-        # Rows are visited in index order, so each column list comes out sorted.
-        cols: list[list[tuple[int, FieldElement]]] = [[] for _ in range(self.num_cols)]
-        for i, row in enumerate(self.rows):
-            for j, el in row:
-                cols[j].append((i, el))
-        return SparseMatrix(self.spec, self.num_cols, self.num_rows, tuple(map(tuple, cols)))
+        # Rows are visited in index order, so each column comes out sorted.
+        cols: dict[int, dict[int, Raw]] = {}
+        for i, row in enumerate(self._cells):
+            for j, v in row.items():
+                col = cols.get(j)
+                if col is None:
+                    cols[j] = {i: v}
+                else:
+                    col[i] = v
+        return SparseMatrix._trusted(self.spec, self.num_cols, self.num_rows, cols)
 
     def submatrix(self, row_ids: Sequence[int], col_ids: Sequence[int]) -> "SparseMatrix":
         """Restriction to the given original rows and columns, reindexed densely."""
@@ -245,15 +300,14 @@ class SparseMatrix:
                 raise ValueError(f"duplicate column {j}")
             col_pos[j] = pos
         seen_rows = set()
-        rows = []
-        for i in row_ids:
+        per_row = {}
+        for pos, i in enumerate(row_ids):
             if i in seen_rows:
                 raise ValueError(f"duplicate row {i}")
             seen_rows.add(i)
-            cells = [(p, el) for j, el in self.rows[i] if (p := col_pos.get(j)) is not None]
-            cells.sort()
-            rows.append(tuple(cells))
-        return SparseMatrix(self.spec, len(row_ids), len(col_ids), tuple(rows))
+            per_row[pos] = dict(sorted([(p, v) for j, v in self._cells[i].items()
+                                        if (p := col_pos.get(j)) is not None]))
+        return SparseMatrix._trusted(self.spec, len(row_ids), len(col_ids), per_row)
 
     def mul_vector(self, v: Vector) -> Vector:
         """A @ v for a column vector over the columns."""
@@ -268,11 +322,10 @@ class SparseMatrix:
         p = self.spec.modulus
         cells, d = (x, 1) if p is not None else common_denominator(x)
         out: dict[int, Raw] = {}
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(self._cells):
             acc, den = 0, 1     # over Q: acc / (den * d), den the row's lcm so far
-            for j, el in row:
+            for j, a in row.items():
                 if (w := cells.get(j)) is not None:
-                    a = el.value
                     if p is not None:
                         acc += a * w
                         continue
@@ -291,14 +344,13 @@ class SparseMatrix:
         """y^T A as a vector over the columns."""
         if y.spec != self.spec or y.length != self.num_rows:
             raise ValueError("vector does not match the matrix rows")
-        spec, p, rows = self.spec, self.spec.modulus, self.rows
+        spec, p, rows = self.spec, self.spec.modulus, self._cells
         ys, d = (y.raw_cells(), 1) if p is not None else common_denominator(y.raw_cells())
         # Over Q the rows used are scaled to integers by one lcm.
-        den = 1 if p is not None else lcm(*[a.value.denominator for i in ys for _, a in rows[i]])
+        den = 1 if p is not None else lcm(*[a.denominator for i in ys for a in rows[i].values()])
         acc: dict[int, int] = {}
         for i, yi in ys.items():
-            for j, a in rows[i]:
-                a = a.value
+            for j, a in rows[i].items():
                 w = yi * a if p is not None else yi * a.numerator * (den // a.denominator)
                 acc[j] = acc.get(j, 0) + w
         return Vector.from_pairs(spec, self.num_cols, (
@@ -337,7 +389,7 @@ def _feed_all(matrix: SparseMatrix, rhs: Vector | None,
     row order.  A refutation does, so tracked rows go in the given order."""
     elim = Eliminator(matrix.spec, track=track)
     rhs_cells = rhs.raw_cells() if rhs is not None else {}
-    rows, zero = matrix.rows, matrix.spec.zero
+    rows, zero = matrix._cells, matrix.spec.zero
     # 0 = 0 rows leave the echelon form as it is, so they are never fed.
     nonempty = compress(range(len(rows)), rows)
     empty_rhs = [i for i in rhs_cells if not rows[i]]
@@ -345,7 +397,7 @@ def _feed_all(matrix: SparseMatrix, rhs: Vector | None,
         nonempty, key=lambda i: len(rows[i]))
     for i in order:
         elim.rows_seen = i
-        combo = elim.feed(matrix.raw_row(i), rhs_cells.get(i, zero))
+        combo = elim.feed(rows[i], rhs_cells.get(i, zero))
         if combo is not None:
             return elim, combo
     return elim, None

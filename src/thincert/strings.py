@@ -220,9 +220,8 @@ def unlisted_rows_vanish(matrix: SparseMatrix, string: SaturatedString) -> bool:
     for i in range(matrix.num_rows):
         if i in listed_rows:
             continue
-        for j, el in matrix.rows[i]:
-            if j in listed_cols and el:
-                return False
+        if not listed_cols.isdisjoint(matrix._cells[i]):
+            return False
     return True
 
 
@@ -289,9 +288,9 @@ def lemma_witness(matrix: SparseMatrix, string: SaturatedString,
     spec = matrix.spec
     columns: dict[int, dict[int, Raw]] = {j: {} for j in string.col_range}
     for i in string.row_range:
-        for j, el in matrix.rows[i]:
-            if j in columns:
-                columns[j][i] = el.value
+        for j, v in matrix._cells[i].items():
+            if (column := columns.get(j)) is not None:
+                column[i] = v
     elim = Eliminator(spec, track=False)
     listed_rows: list[int] = []
     listed_cols: list[int] = []

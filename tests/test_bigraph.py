@@ -8,7 +8,7 @@ import pytest
 import gen
 from thincert import (FieldSpec, Matching, SaturatedString, SparseMatrix, SupportGraph,
                       Vertex, cantor_bernstein_merge, deficiency_string, hall_violator,
-                      max_matching, mu_finite, support_graph)
+                      max_matching, mu_finite, parse_matrix, support_graph)
 
 GF2 = FieldSpec.gf(2)
 QQ = FieldSpec.rationals()
@@ -171,6 +171,19 @@ def test_max_matching_on_a_deep_staircase():
     g = SupportGraph(range(n), range(n),
                      [(j, i) for j in range(n) for i in {max(j - 1, 0), j}])
     assert max_matching(g).col_to_row == {j: j for j in range(n)}
+
+
+def test_isolated_columns_share_one_empty_adjacency():
+    # A dimension-only file of 100,000 columns with one entry: no list is
+    # built for an isolated column, and no search is set up for it.
+    n = 100_000
+    g = support_graph(parse_matrix(f"field gf 5\n3 {n}\n0 5 1\n"))
+    isolated = [g.adj[j] for j in g.left if j != 5]
+    assert len(isolated) == n - 1 and isolated[0] == ()
+    assert all(rows is isolated[0] for rows in isolated)
+    assert g.adj[5] == (0,) and g.radj == {0: (5,), 1: (), 2: ()}
+    assert max_matching(g).pairs == frozenset({(5, 0)})
+    assert hall_violator(g) == frozenset(range(n)) - {5}
 
 
 def test_hall_violator_dichotomy():
