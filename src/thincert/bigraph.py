@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .linalg import SparseMatrix
@@ -99,10 +100,8 @@ class SupportGraph:
         return self.radj[row]
 
     def neighbourhood(self, cols: Iterable[int]) -> frozenset[int]:
-        out: set[int] = set()
-        for j in cols:
-            out.update(self.adj[j])
-        return frozenset(out)
+        # One C-level pass: a column without edges adds its shared empty tuple.
+        return frozenset(chain.from_iterable(map(self.adj.__getitem__, cols)))
 
     def has_edge(self, col: int, row: int) -> bool:
         return row in self.adj.get(col, ())
@@ -161,7 +160,16 @@ def support_graph(matrix: "SparseMatrix") -> SupportGraph:
 
 
 def max_matching(graph: SupportGraph) -> Matching:
-    """Maximum matching by augmenting paths, columns tried in index order.
+    """Maximum matching by augmenting paths, columns tried in index order."""
+    match_row: dict[int, int] = {}   # row -> col
+    _augment(graph.adj, graph.left, match_row)
+    return Matching.checked(graph, ((j, i) for i, j in match_row.items()))
+
+
+def _augment(adj: dict[int, tuple[int, ...]], roots: Iterable[int],
+             match_row: dict[int, int]) -> None:
+    """Grow the matching ``match_row`` (row -> col) by one augmenting-path
+    search from each unmatched root, in the given order.
 
     Each search is a depth-first search on an explicit stack, so no path
     length hits the recursion limit: rows are tried in sorted order, and a
@@ -169,10 +177,8 @@ def max_matching(graph: SupportGraph) -> Matching:
     a failed search are dead (matched to columns whose neighbours are all
     dead), so no augmenting path enters them and later searches skip them.
     """
-    adj = graph.adj
-    match_row: dict[int, int] = {}   # row -> col
     dead: set[int] = set()
-    for root in graph.left:
+    for root in roots:
         rows = adj[root]
         if not rows:            # no search can match a column without edges
             continue
@@ -201,32 +207,44 @@ def max_matching(graph: SupportGraph) -> Matching:
                 break
             stack.append((col, todo, row))
             col, todo = owner, iter(adj[owner])
-    return Matching.checked(graph, ((j, i) for i, j in match_row.items()))
 
 
 def hall_violator(graph: SupportGraph) -> frozenset[int] | None:
     """A set of columns J0 with |N(J0)| < |J0|, or None if a matching covers all columns.
 
     J0 is the set of columns reachable by alternating paths from the columns
-    a maximum matching leaves unmatched, so it is deterministic and its
-    neighbourhood consists exactly of the matched partners it traps.
+    a maximum matching leaves unmatched.  That set is the same for every
+    maximum matching (Dulmage-Mendelsohn), so the matching here starts
+    greedily, each column in index order taking its lowest free row, and
+    augmenting paths are searched only from the columns left over.
     """
-    return _hall_violator(graph, max_matching(graph))
+    adj = graph.adj
+    match_row: dict[int, int] = {}   # row -> col
+    left_over = []
+    for j in graph.left:
+        for i in adj[j]:
+            if i not in match_row:
+                match_row[i] = j
+                break
+        else:
+            left_over.append(j)
+    _augment(adj, left_over, match_row)
+    Matching.checked(graph, ((j, i) for i, j in match_row.items()))
+    return _hall_violator(graph, match_row)
 
 
-def _hall_violator(graph: SupportGraph, m: Matching) -> frozenset[int] | None:
-    """``hall_violator`` given the graph's maximum matching ``m``."""
-    row_to_col = {i: j for j, i in m.pairs}
-    matched = set(row_to_col.values())
-    exposed = [j for j in graph.left if j not in matched]
-    if not exposed:
+def _hall_violator(graph: SupportGraph, row_to_col: Mapping[int, int]) -> frozenset[int] | None:
+    """``hall_violator`` given a maximum matching of the graph as a row -> column map."""
+    adj = graph.adj
+    reach_cols = set(graph.left)
+    reach_cols.difference_update(row_to_col.values())
+    if not reach_cols:
         return None
-    reach_cols = set(exposed)
     reach_rows: set[int] = set()
-    frontier = list(exposed)
+    frontier = list(filter(adj.__getitem__, reach_cols))   # exposed columns with edges
     while frontier:
         col = frontier.pop()
-        for row in graph.adj[col]:
+        for row in adj[col]:
             if row in reach_rows:
                 continue
             reach_rows.add(row)
@@ -248,17 +266,23 @@ def deficiency_string(graph: SupportGraph, violator: Iterable[int]) -> "Saturate
     """
     from .strings import SaturatedString  # import here to avoid a module cycle
 
-    j0 = sorted(set(violator))
-    if not j0:
+    cols = set(violator)
+    if not cols:
         raise ValueError("violator set must be nonempty")
-    for j in j0:
-        if j not in graph.adj:
-            raise ValueError(f"c{j} is not a left vertex")
+    adj = graph.adj
+    if not cols <= adj.keys():
+        raise ValueError(f"c{min(cols - adj.keys())} is not a left vertex")
+    j0 = sorted(cols)
     hood = sorted(graph.neighbourhood(j0))
     if not len(hood) < len(j0):
         raise ValueError("given set does not violate the covering condition")
-    entries = tuple([Vertex("r", i) for i in hood] + [Vertex("c", j) for j in j0])
-    return SaturatedString(entries)
+    # Both lists are sorted, distinct vertices of the graph, so only the
+    # sign of each list's least index is left of the constructors' checks.
+    if j0[0] < 0 or (hood and hood[0] < 0):
+        raise ValueError("vertex index must be nonnegative")
+    new = tuple.__new__
+    return SaturatedString._trusted(tuple([new(Vertex, ("r", i)) for i in hood]
+                                          + [new(Vertex, ("c", j)) for j in j0]))
 
 
 def cantor_bernstein_merge(graph: SupportGraph, cols_cover: Matching,

@@ -133,8 +133,7 @@ class FieldSpec:
             return 1 / Fraction(a)
         if a % self.modulus == 0:
             raise ZeroDivisionError("division by zero")
-        # Fermat: p is prime, so a^(p-2) inverts a.
-        return pow(a, self.modulus - 2, self.modulus)
+        return pow(a, -1, self.modulus)
 
     def div(self, a: Raw, b: Raw) -> Raw:
         return self.mul(a, self.inv(b))

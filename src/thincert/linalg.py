@@ -482,9 +482,10 @@ def unsolvable_core(matrix: SparseMatrix, rhs: Vector, minimize: bool = False) -
     """Row indices whose combination refutes A x = b.
 
     The core is the support of the certificate produced by the elimination
-    trail, re-verified unsolvable in isolation.  It is irreducible, so
-    ``minimize`` has nothing to do: the trail combines the row that vanished
-    with independent pivot rows, so every proper subset is solvable.
+    trail, and that certificate restricted to the core is re-checked against
+    the core's rows alone.  It is irreducible, so ``minimize`` has nothing
+    to do: the trail combines the row that vanished with independent pivot
+    rows, so every proper subset is solvable.
     """
     outcome = solve(matrix, rhs)
     if isinstance(outcome, Vector):
@@ -495,6 +496,9 @@ def unsolvable_core(matrix: SparseMatrix, rhs: Vector, minimize: bool = False) -
     sub_rhs = Vector.from_pairs(matrix.spec, len(core),
                                 ((pos, b) for pos, i in enumerate(core)
                                  if (b := rhs_cells.get(i)) is not None))
-    if not isinstance(solve(sub, sub_rhs), UnsolvabilityCertificate):
-        raise AssertionError("extracted core is not unsolvable in isolation")
+    y = Vector(matrix.spec, len(core), tuple(enumerate(el for _, el in outcome.y.entries)))
+    try:
+        UnsolvabilityCertificate.checked(sub, sub_rhs, y)
+    except ValueError:
+        raise AssertionError("extracted core is not unsolvable in isolation") from None
     return frozenset(core)

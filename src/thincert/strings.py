@@ -59,6 +59,13 @@ class SaturatedString:
             raise ValueError("string entries must be distinct")
 
     @classmethod
+    def _trusted(cls, entries: tuple[Vertex, ...]) -> "SaturatedString":
+        """The string of ``entries``, which the caller guarantees distinct."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "entries", entries)
+        return s
+
+    @classmethod
     def of(cls, *tokens: str) -> "SaturatedString":
         return cls(tuple(parse_vertex(t) for t in tokens))
 

@@ -4,11 +4,14 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 from thincert import (FieldSpec, Matching, SaturatedString, SparseMatrix, SupportGraph,
                       Vertex, cantor_bernstein_merge, deficiency_string, hall_violator,
-                      max_matching, mu_finite, parse_matrix, support_graph)
+                      is_saturated, max_matching, mu_finite, parse_matrix, support_graph)
+from thincert.bigraph import _hall_violator
 
 GF2 = FieldSpec.gf(2)
 QQ = FieldSpec.rationals()
@@ -267,6 +270,53 @@ def test_violators_and_strings_equal_the_reference():
     assert saw > 100
 
 
+@st.composite
+def bipartite_graphs(draw):
+    """Random edges, a staircase over the first columns, and isolated columns."""
+    nr = draw(st.integers(0, 25))
+    stair = draw(st.integers(0, nr))
+    extra = draw(st.integers(0, 12))
+    isolated = draw(st.integers(0, 4))
+    edges = [(j, i) for j in range(stair) for i in {max(j - 1, 0), j}]
+    if nr and extra:
+        pairs = st.tuples(st.integers(stair, stair + extra - 1), st.integers(0, nr - 1))
+        edges += draw(st.lists(pairs, max_size=60))
+    cols = list(range(stair + extra + isolated))
+    draw(st.randoms(use_true_random=False)).shuffle(cols)
+    return SupportGraph(range(len(cols)), range(nr), [(cols[j], i) for j, i in edges])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(bipartite_graphs())
+def test_seeded_violator_on_staircases_and_isolated_columns(g):
+    # Alternating reachability from the exposed columns gives the same set
+    # for every maximum matching, so the greedy seed cannot change it.
+    violator = hall_violator(g)
+    assert violator == _hall_violator(g, max_matching(g).row_to_col)
+    if violator is not None:
+        s = deficiency_string(g, violator)
+        assert s == SaturatedString(tuple(Vertex(side, i) for side, i in s))
+        assert is_saturated(g, s) and mu_finite(g, s) < 0
+
+
+def test_hall_violator_checks_its_matching_once(monkeypatch):
+    # The seeded matching is verified like max_matching's: one check per call.
+    calls = []
+    checked = Matching.checked.__func__
+
+    def counting(cls, graph, pairs):
+        calls.append(graph)
+        return checked(cls, graph, pairs)
+
+    monkeypatch.setattr(Matching, "checked", classmethod(counting))
+    rng = random.Random(446)
+    for _ in range(30):
+        g = gen.random_bipartite(rng)
+        calls.clear()
+        hall_violator(g)
+        assert calls == [g]
+
+
 def test_matching_views_are_sorted():
     rng = random.Random(445)
     for _ in range(50):
@@ -299,6 +349,17 @@ def test_deficiency_string_orders_rows_then_cols_sorted():
     assert rows == sorted(rows) and cols == sorted(cols)
     assert str(s).index("r") < str(s).index("c")
     assert mu_finite(g, s) == len(rows) - len(cols) < 0
+
+
+def test_deficiency_string_rejects_negative_indices():
+    # SupportGraph takes any integer labels; a string vertex must not be negative.
+    g = SupportGraph([-2, -1], [-3], [(-2, -3), (-1, -3)])
+    assert hall_violator(g) == frozenset({-2, -1})
+    with pytest.raises(ValueError, match="vertex index must be nonnegative"):
+        deficiency_string(g, [-2, -1])
+    g = SupportGraph([0, 1], [-3], [(0, -3), (1, -3)])
+    with pytest.raises(ValueError, match="vertex index must be nonnegative"):
+        deficiency_string(g, [0, 1])
 
 
 def test_deficiency_string_rejects_non_violators():

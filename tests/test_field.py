@@ -1,5 +1,6 @@
 """Field arithmetic: exactness, axioms, parsing and rendering."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -32,6 +33,18 @@ def test_gf_requires_prime_modulus():
             FieldSpec.gf(bad)
     for good in (2, 3, 5, 7, 11, 97):
         assert FieldSpec.gf(good).modulus == good
+
+
+def test_gf_inverse_equals_fermat():
+    rng = random.Random(61)
+    for p in (2, 5, 1_000_003, 2 ** 61 - 1):
+        spec = FieldSpec.gf(p)
+        for _ in range(200):
+            a = rng.randrange(1, p)
+            assert spec.inv(a) == pow(a, p - 2, p)
+            assert spec.inv(a - p) == pow(a, p - 2, p)   # unreduced input
+        with pytest.raises(ZeroDivisionError):
+            spec.inv(p)
 
 
 def test_gf_primality_is_fast_and_rejects_pseudoprimes():

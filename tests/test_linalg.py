@@ -322,6 +322,35 @@ def test_unsolvable_core_is_unsolvable_in_isolation():
         assert isinstance(solve(sub, sub_rhs), UnsolvabilityCertificate)
 
 
+def test_unsolvable_core_checks_the_certificate_without_eliminating(monkeypatch):
+    # The core is proved by the solve certificate restricted to it: the core
+    # costs no elimination beyond solve's own.
+    built = []
+    init = Eliminator.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    rng = random.Random(810)
+    hits = 0
+    while hits < 15:
+        spec = rng.choice(FIELDS)
+        m = gen.dependent_cols_matrix(spec, rng, max_rows=9, max_cols=6)
+        rhs = Vector.from_dense(spec, [gen.rand_scalar(spec, rng) for _ in range(m.num_rows)])
+        if isinstance(solve(m, rhs), Vector):
+            continue
+        hits += 1
+        with monkeypatch.context() as mp:
+            mp.setattr(Eliminator, "__init__", counting)
+            built.clear()
+            solve(m, rhs)
+            solved = len(built)
+            built.clear()
+            unsolvable_core(m, rhs)
+            assert len(built) == solved
+
+
 def test_unsolvable_core_minimize_is_minimal():
     """Every core is irreducible, so ``minimize`` returns the same core: the
     greedy row-deletion pass it used to run, kept here as the oracle, finds
