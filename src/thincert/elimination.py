@@ -1,13 +1,12 @@
 """Incremental exact Gaussian elimination with optional row provenance.
 
 Rows arrive one at a time as sparse {column: raw value} dicts.  A tracking
-eliminator keeps, for each pivot row, the trail of its reduction: the pivot
-columns it was reduced by and their integer multipliers, with its own row
-index, coefficient and divisor (the L factor of the elimination).  A row
-that vanishes with a nonzero right-hand side expands its trail once, through
-the trails of the pivots it reached, into the refutation combination of
-original rows.  Callers that only need the row space (rank, kernels) turn
-tracking off and skip even the trail.
+eliminator, which only ``StreamState`` builds, keeps for each pivot row the
+trail of its reduction: the pivot columns it was reduced by and their
+integer multipliers, with its own row index, coefficient and divisor (the L
+factor).  A row that vanishes with a nonzero right-hand side expands its
+trail once into the refutation combination of original rows.  ``linalg``
+keeps no trail: it reads a refutation off a kernel vector of the transpose.
 Elimination is forward only: a row is reduced while its lowest column has a
 pivot, and the first column without one leads it; pivot columns above the
 lead are left for back-substitution and ``reduced_pivots``.  Pivot columns
@@ -69,8 +68,8 @@ class ReducedRow:
 class Eliminator:
     """Echelon state over a growing list of rows.
 
-    With ``track`` every pivot row carries its trail; without it ``combo``
-    stays empty and refutations carry no combination.
+    With ``track`` (streams only) every pivot row carries its trail; without
+    it ``combo`` stays empty and a refutation carries no combination.
     """
 
     __slots__ = ("spec", "pivots", "rows_seen", "track")

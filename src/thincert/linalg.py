@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
@@ -101,15 +101,8 @@ class Vector:
     def dot(self, other: "Vector") -> FieldElement:
         if other.spec != self.spec or other.length != self.length:
             raise ValueError("dot product needs matching field and length")
-        spec, p = self.spec, self.spec.modulus
-        if p is not None:
-            mine = self.raw_cells()
-            return FieldElement(spec, sum([v * el.value for i, el in other.entries
-                                           if (v := mine.get(i)) is not None]) % p)
-        mine, d = common_denominator(self.raw_cells())
-        theirs, e = common_denominator(other.raw_cells())
-        return FieldElement(spec, Fraction(sum([v * w for i, w in theirs.items()
-                                                if (v := mine.get(i)) is not None]), d * e))
+        product = _row_products(self.spec, [self.raw_cells()], other.raw_cells())
+        return FieldElement(self.spec, product.get(0, self.spec.zero))
 
     def scaled(self, factor: Scalarish) -> "Vector":
         f = self.spec.coerce(factor)
@@ -117,11 +110,39 @@ class Vector:
                                  ((i, self.spec.mul(f, el.value)) for i, el in self.entries))
 
     def __str__(self) -> str:
-        return " ".join(str(el) for el in self.to_dense())
+        out = [self.spec.render_raw(self.spec.zero)] * self.length
+        for i, el in self.entries:
+            out[i] = str(el)
+        return " ".join(out)
 
 
 #: The row of every matrix with no entries in it: one read-only empty mapping.
 _EMPTY_ROW: Mapping[int, Raw] = MappingProxyType({})
+
+
+def _row_products(spec: FieldSpec, rows: Iterable[Mapping[int, Raw]],
+                  x: dict[int, Raw]) -> dict[int, Raw]:
+    """Each row times x on raw cells: {row position: nonzero raw value}."""
+    p = spec.modulus
+    cells, d = (x, 1) if p is not None else common_denominator(x)
+    out: dict[int, Raw] = {}
+    for i, row in enumerate(rows):
+        acc, den = 0, 1     # over Q: acc / (den * d), den the row's lcm so far
+        for j, a in row.items():
+            if (w := cells.get(j)) is not None:
+                if p is not None:
+                    acc += a * w
+                    continue
+                if den % a.denominator:
+                    m = a.denominator // gcd(den, a.denominator)
+                    acc, den = acc * m, den * m
+                acc += a.numerator * (den // a.denominator) * w
+        if p is not None:
+            if acc := acc % p:
+                out[i] = acc
+        elif acc:
+            out[i] = Fraction(acc, den * d)
+    return out
 
 
 @dataclass(frozen=True)
@@ -177,13 +198,6 @@ class SparseMatrix:
         m = object.__new__(cls)
         m.__dict__.update(spec=spec, num_rows=num_rows, num_cols=num_cols, _cells=tuple(rows))
         return m
-
-    @classmethod
-    def _from_cells(cls, spec: FieldSpec, num_rows: int, num_cols: int,
-                    per_row: Mapping[int, Mapping[int, FieldElement]]) -> "SparseMatrix":
-        """``_trusted`` on ``{row: {col: nonzero element}}`` cells, in any order."""
-        return cls._trusted(spec, num_rows, num_cols, {
-            i: {j: el.value for j, el in sorted(cells.items())} for i, cells in per_row.items()})
 
     def __getattr__(self, name: str):
         # Only ``rows`` can be missing, on a trusted matrix: box it once.
@@ -244,15 +258,10 @@ class SparseMatrix:
                    num_cols: int | None = None) -> "SparseMatrix":
         nr = len(grid)
         nc = num_cols if num_cols is not None else (len(grid[0]) if nr else 0)
-        entries = {}
-        for i, row in enumerate(grid):
-            if len(row) != nc:
-                raise ValueError("ragged dense grid")
-            for j, v in enumerate(row):
-                raw = spec.coerce(v)
-                if raw != 0:
-                    entries[(i, j)] = raw
-        return cls.from_entries(spec, nr, nc, entries)
+        if any(len(row) != nc for row in grid):
+            raise ValueError("ragged dense grid")
+        return cls.from_entries(spec, nr, nc, [
+            (i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row)])
 
     @property
     def nnz(self) -> int:
@@ -281,10 +290,10 @@ class SparseMatrix:
             if (v := row.get(j)) is not None))
 
     def transpose(self) -> "SparseMatrix":
-        # Rows are visited in index order, so each column comes out sorted.
+        # Nonempty rows are visited in index order, so each column comes out sorted.
         cols: dict[int, dict[int, Raw]] = {}
-        for i, row in enumerate(self._cells):
-            for j, v in row.items():
+        for i in compress(range(self.num_rows), self._cells):
+            for j, v in self._cells[i].items():
                 col = cols.get(j)
                 if col is None:
                     cols[j] = {i: v}
@@ -315,30 +324,7 @@ class SparseMatrix:
             raise ValueError("vector does not match the matrix columns")
         spec, box = self.spec, FieldElement._canonical
         return Vector(spec, self.num_rows, tuple(
-            (i, box(spec, w)) for i, w in self._mul_raw(v.raw_cells()).items()))
-
-    def _mul_raw(self, x: dict[int, Raw]) -> dict[int, Raw]:
-        """A @ x on raw cells: {row: nonzero raw value}, in row order."""
-        p = self.spec.modulus
-        cells, d = (x, 1) if p is not None else common_denominator(x)
-        out: dict[int, Raw] = {}
-        for i, row in enumerate(self._cells):
-            acc, den = 0, 1     # over Q: acc / (den * d), den the row's lcm so far
-            for j, a in row.items():
-                if (w := cells.get(j)) is not None:
-                    if p is not None:
-                        acc += a * w
-                        continue
-                    if den % a.denominator:
-                        m = a.denominator // gcd(den, a.denominator)
-                        acc, den = acc * m, den * m
-                    acc += a.numerator * (den // a.denominator) * w
-            if p is not None:
-                if acc := acc % p:
-                    out[i] = acc
-            elif acc:
-                out[i] = Fraction(acc, den * d)
-        return out
+            (i, box(spec, w)) for i, w in _row_products(spec, self._cells, v.raw_cells()).items()))
 
     def combine_rows(self, y: Vector) -> Vector:
         """y^T A as a vector over the columns."""
@@ -381,26 +367,22 @@ class UnsolvabilityCertificate:
         return cls(y)
 
 
-def _feed_all(matrix: SparseMatrix, rhs: Vector | None,
-              track: bool = False) -> tuple[Eliminator, dict[int, Raw] | None]:
-    """Feed rows until the first contradiction.  Untracked, rows go sparsest
-    first (empty ones only with a nonzero right-hand side): pivot columns, the
-    reduced echelon form and the free-variables-zero solution do not depend on
-    row order.  A refutation does, so tracked rows go in the given order."""
-    elim = Eliminator(matrix.spec, track=track)
+def _feed_all(matrix: SparseMatrix, rhs: Vector | None) -> tuple[Eliminator, bool]:
+    """Feed rows, sparsest first, until the first contradiction, and say
+    whether there was one.  Empty rows are fed only with a nonzero right-hand
+    side, and first.  Pivot columns, the reduced echelon form and the
+    free-variables-zero solution do not depend on row order; no trail is
+    kept, since a refutation is read off the transpose (``_refutation``)."""
+    elim = Eliminator(matrix.spec, track=False)
     rhs_cells = rhs.raw_cells() if rhs is not None else {}
     rows, zero = matrix._cells, matrix.spec.zero
     # 0 = 0 rows leave the echelon form as it is, so they are never fed.
-    nonempty = compress(range(len(rows)), rows)
-    empty_rhs = [i for i in rhs_cells if not rows[i]]
-    order = sorted(chain(nonempty, empty_rhs)) if track else empty_rhs + sorted(
-        nonempty, key=lambda i: len(rows[i]))
+    order = [i for i in rhs_cells if not rows[i]] + sorted(
+        compress(range(len(rows)), rows), key=lambda i: len(rows[i]))
     for i in order:
-        elim.rows_seen = i
-        combo = elim.feed(rows[i], rhs_cells.get(i, zero))
-        if combo is not None:
-            return elim, combo
-    return elim, None
+        if elim.feed(rows[i], rhs_cells.get(i, zero)) is not None:
+            return elim, True
+    return elim, False
 
 
 def _normalized(spec: FieldSpec, length: int, cells: dict[int, Raw]) -> Vector:
@@ -453,27 +435,51 @@ def _first_kernel_vector(matrix: SparseMatrix) -> Vector | None:
     return _normalized(matrix.spec, matrix.num_cols, elim.kernel_vector(free))
 
 
+def _check_rhs(matrix: SparseMatrix, rhs: Vector) -> None:
+    if rhs.spec != matrix.spec:
+        raise ValueError("right-hand side from a different field")
+    if rhs.length != matrix.num_rows:
+        raise ValueError("right-hand side length does not match the rows")
+
+
+def _refutation(matrix: SparseMatrix, rhs: Vector) -> UnsolvabilityCertificate | None:
+    """The checked certificate of an unsolvable A x = b, or None if b lies in
+    the column space: A^T is eliminated, b is fed as one more row, and y is
+    A^T's ``kernel_vector(k)`` at b's lead k, normalized.
+
+    That is the y a trail through A's rows in the given order would give.  Let
+    k be the first row whose prefix is unsolvable.  The trail combines row k,
+    with coefficient one, with only the earlier rows that raised the rank;
+    they are independent, so that y is unique.  They are the pivot columns
+    below k of the reduced echelon form of A^T, which does not depend on row
+    order.  Column k is the first where (a_k; b_k) is independent of the
+    earlier columns while a_k alone is not, so reduced b leads at k, and
+    ``kernel_vector(k)`` uses only the pivots below k."""
+    elim, _ = _feed_all(matrix.transpose(), None)
+    before = elim.rank
+    elim.feed(rhs.raw_cells(), matrix.spec.zero)
+    if elim.rank == before:
+        return None
+    y = elim.kernel_vector(next(reversed(elim.pivots)))     # b's lead is the newest pivot
+    return UnsolvabilityCertificate.checked(matrix, rhs, _normalized(matrix.spec, matrix.num_rows, y))
+
+
 def solve(matrix: SparseMatrix, rhs: Vector) -> Vector | UnsolvabilityCertificate:
     """Solve A x = b exactly, or certify that no solution exists.
 
     A solution has every free variable zero and multiplies back to b.  An
     unsolvability certificate is scaled so its lowest-index nonzero entry is
-    one and is verified before being returned; it comes from a second,
-    tracked pass in the given row order.
+    one and is verified before being returned.  It is a kernel vector of the
+    transpose (``_refutation``); no elimination keeps a trail.
     """
-    if rhs.spec != matrix.spec:
-        raise ValueError("right-hand side from a different field")
-    if rhs.length != matrix.num_rows:
-        raise ValueError("right-hand side length does not match the rows")
-    elim, combo = _feed_all(matrix, rhs)
-    if combo is not None:
-        _, combo = _feed_all(matrix, rhs, track=True)
-        y = _normalized(matrix.spec, matrix.num_rows, combo)
-        return UnsolvabilityCertificate.checked(matrix, rhs, y)
+    _check_rhs(matrix, rhs)
+    elim, refuted = _feed_all(matrix, rhs)
+    if refuted:
+        return _refutation(matrix, rhs)
     x = elim.solution()
     # Raw cells on both sides: a row where either side is zero is a key of
     # one dict only, so every row is compared.
-    if matrix._mul_raw(x) != rhs.raw_cells():
+    if _row_products(matrix.spec, matrix._cells, x) != rhs.raw_cells():
         raise AssertionError("solution failed verification")
     return Vector.from_pairs(matrix.spec, matrix.num_cols, x.items())
 
@@ -481,22 +487,22 @@ def solve(matrix: SparseMatrix, rhs: Vector) -> Vector | UnsolvabilityCertificat
 def unsolvable_core(matrix: SparseMatrix, rhs: Vector, minimize: bool = False) -> frozenset[int]:
     """Row indices whose combination refutes A x = b.
 
-    The core is the support of the certificate produced by the elimination
-    trail, and that certificate restricted to the core is re-checked against
-    the core's rows alone.  It is irreducible, so ``minimize`` has nothing
-    to do: the trail combines the row that vanished with independent pivot
-    rows, so every proper subset is solvable.
+    The core is the support of ``solve``'s certificate, computed by one
+    elimination of the transpose, and that certificate restricted to the core
+    is re-checked against the core's rows alone.  It is irreducible, so
+    ``minimize`` has nothing to do: the certificate combines one row with
+    independent earlier rows, so every proper subset is solvable.
     """
-    outcome = solve(matrix, rhs)
-    if isinstance(outcome, Vector):
+    _check_rhs(matrix, rhs)
+    outcome = _refutation(matrix, rhs)
+    if outcome is None:
         raise ValueError("system is solvable, no core exists")
     core = sorted(outcome.y.support)
-    rhs_cells = rhs.raw_cells()
+    rhs_cells, spec = rhs.raw_cells(), matrix.spec
     sub = matrix.submatrix(core, range(matrix.num_cols))
-    sub_rhs = Vector.from_pairs(matrix.spec, len(core),
-                                ((pos, b) for pos, i in enumerate(core)
-                                 if (b := rhs_cells.get(i)) is not None))
-    y = Vector(matrix.spec, len(core), tuple(enumerate(el for _, el in outcome.y.entries)))
+    sub_rhs = Vector.from_pairs(spec, len(core), (
+        (pos, rhs_cells.get(i, spec.zero)) for pos, i in enumerate(core)))
+    y = Vector(spec, len(core), tuple(enumerate(el for _, el in outcome.y.entries)))
     try:
         UnsolvabilityCertificate.checked(sub, sub_rhs, y)
     except ValueError:

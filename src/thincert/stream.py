@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .elimination import Eliminator
-from .field import FieldElement, FieldSpec, Raw, common_denominator
-from .linalg import Vector
+from .field import FieldElement, FieldSpec, Raw
+from .linalg import Vector, _row_products
 
 __all__ = ["AllPrefixesSolvable", "UnsolvableAt", "StreamStatus", "StreamState"]
 
@@ -84,13 +84,7 @@ class StreamState:
         if not self.is_solvable:
             raise ValueError("stream has an unsolvable prefix")
         x = self._elim.solution()
-        p = self.spec.modulus
-        xs, d = (x, 1) if p is not None else common_denominator(x)
-        for cells, rhs_raw in self._rows:
-            if p is None:   # the row is n / e: check (n . xs) / (e * d) == rhs
-                cells, e = common_denominator(cells)
-            acc = sum([v * xv for c, v in cells.items() if (xv := xs.get(c)) is not None])
-            if (acc % p != rhs_raw if p is not None else
-                    acc * rhs_raw.denominator != rhs_raw.numerator * e * d):
-                raise AssertionError("stream solution failed verification")
+        if _row_products(self.spec, [cells for cells, _ in self._rows], x) != {
+                i: b for i, (_, b) in enumerate(self._rows) if b}:
+            raise AssertionError("stream solution failed verification")
         return Vector.from_pairs(self.spec, self.num_cols, x.items())

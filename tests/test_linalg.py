@@ -323,8 +323,9 @@ def test_unsolvable_core_is_unsolvable_in_isolation():
 
 
 def test_unsolvable_core_checks_the_certificate_without_eliminating(monkeypatch):
-    # The core is proved by the solve certificate restricted to it: the core
-    # costs no elimination beyond solve's own.
+    # The core is proved by the certificate restricted to it, and the
+    # certificate comes from one elimination of the transpose: a core costs
+    # one Eliminator, a refuted solve two (its rows, then the transpose).
     built = []
     init = Eliminator.__init__
 
@@ -348,7 +349,7 @@ def test_unsolvable_core_checks_the_certificate_without_eliminating(monkeypatch)
             solved = len(built)
             built.clear()
             unsolvable_core(m, rhs)
-            assert len(built) == solved
+            assert len(built) == 1 < solved == 2
 
 
 def test_unsolvable_core_minimize_is_minimal():
@@ -376,7 +377,7 @@ def test_unsolvable_core_minimize_is_minimal():
 
 @pytest.fixture
 def eliminators(monkeypatch):
-    """Every Eliminator built, with the rows it was fed as (provenance index, row)."""
+    """Every Eliminator built, with the rows it was fed as (cells, rhs)."""
     made = []
     init, feed = Eliminator.__init__, Eliminator.feed
 
@@ -385,7 +386,7 @@ def eliminators(monkeypatch):
         made.append((self, []))
 
     def spy_feed(self, cells, rhs):
-        next(fed for elim, fed in made if elim is self).append((self.rows_seen, dict(cells)))
+        next(fed for elim, fed in made if elim is self).append((dict(cells), rhs))
         return feed(self, cells, rhs)
 
     monkeypatch.setattr(Eliminator, "__init__", spy_init)
@@ -395,9 +396,9 @@ def eliminators(monkeypatch):
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_solve_tracks_provenance_only_to_refute(spec, eliminators):
-    """A consistent solve builds no tracked Eliminator; a refuted one builds
-    exactly one, fed in the given row order under the rows' own indices,
-    after an untracked pass fed sparsest row first."""
+    """A solve builds no tracked Eliminator.  A consistent one builds one,
+    fed sparsest row first; a refuted one builds a second over the
+    transpose, fed its nonempty rows sparsest first and then b."""
     rng = random.Random(f"tracked/{spec.modulus}")
     kinds = set()
     for _ in range(30):
@@ -406,39 +407,43 @@ def test_solve_tracks_provenance_only_to_refute(spec, eliminators):
         eliminators.clear()
         refuted = isinstance(solve(m, rhs), UnsolvabilityCertificate)
         kinds.add(refuted)
-        assert [elim.track for elim, _ in eliminators] == ([False, True] if refuted else [False])
-        lengths = [len(cells) for _, cells in eliminators[0][1]]
+        assert [elim.track for elim, _ in eliminators] == [False] * (1 + refuted)
+        lengths = [len(cells) for cells, _ in eliminators[0][1]]
         assert lengths == sorted(lengths)
         if refuted:
-            fed = eliminators[1][1]
-            assert [cells for _, cells in fed] == [m.raw_row(i) for i, _ in fed]
-            assert [i for i, _ in fed] == sorted(i for i, _ in fed)
+            t = m.transpose()
+            *fed, last = eliminators[1][1]
+            assert fed == sorted([(t.raw_row(j), spec.zero) for j in range(t.num_rows)
+                                  if t.raw_row(j)], key=lambda row: len(row[0]))
+            assert last == (rhs.raw_cells(), spec.zero)
     assert kinds == {True, False}
 
 
 def test_refuted_solve_feeds_only_rows_that_can_matter(monkeypatch):
     """Two million empty rows and one nonzero right-hand side, on the last
-    row: both passes of a refuted ``solve``, untracked and tracked, feed
-    that one row and nothing else."""
+    row: a refuted ``solve`` feeds that one row, then b to an elimination of
+    the empty transpose, and nothing else."""
     n = 2_000_000
     fed = []
     feed = Eliminator.feed
     monkeypatch.setattr(Eliminator, "feed", lambda self, cells, rhs: (
-        fed.append((self.track, self.rows_seen)), feed(self, cells, rhs))[1])
+        fed.append((self, dict(cells), rhs)), feed(self, cells, rhs))[1])
     m = SparseMatrix.from_entries(GF5, n, 3, {})
     out = solve(m, Vector.from_pairs(GF5, n, [(n - 1, 3)]))
-    assert fed == [(False, n - 1), (True, n - 1)]
+    assert [(cells, rhs) for _, cells, rhs in fed] == [({}, 3), ({n - 1: 3}, 0)]
+    assert fed[0][0] is not fed[1][0] and not fed[0][0].track and not fed[1][0].track
     assert isinstance(out, UnsolvabilityCertificate)
     assert out.y == Vector.from_pairs(GF5, n, [(n - 1, 1)])
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_untracked_feed_order_matches_comprehension(spec, monkeypatch):
-    """Untracked, ``_feed_all`` feeds the empty rows with a nonzero
-    right-hand side, then the nonempty rows stably by length: the order of
-    the comprehension over every row that it replaced."""
+    """``_feed_all`` feeds the empty rows with a nonzero right-hand side,
+    then the nonempty rows stably by length: the order of the comprehension
+    over every row that it replaced.  A nonempty row is told by the identity
+    of its stored cells, an empty one by its right-hand side."""
     fed = []
-    monkeypatch.setattr(Eliminator, "feed", lambda self, cells, rhs: fed.append(self.rows_seen))
+    monkeypatch.setattr(Eliminator, "feed", lambda self, cells, rhs: fed.append((id(cells), rhs)))
     rng = random.Random(f"feed-order/{spec.modulus}")
     empty_with_rhs = empty_without_rhs = 0
     for _ in range(40):
@@ -455,8 +460,73 @@ def test_untracked_feed_order_matches_comprehension(spec, monkeypatch):
                               key=lambda i: len(rows[i]))
             fed.clear()
             _feed_all(m, b)
-            assert fed == expected
+            assert fed == [(id(m._cells[i]), rhs_cells.get(i, spec.zero)) for i in expected]
             empty = [i for i, row in enumerate(rows) if not row]
             empty_with_rhs += sum(i in rhs_cells for i in empty)
             empty_without_rhs += sum(i not in rhs_cells for i in empty)
     assert empty_with_rhs >= 10 and empty_without_rhs >= 10
+
+
+def reference_refutation(m: SparseMatrix, rhs: Vector) -> Vector | None:
+    """The certificate of a tracked elimination fed every row in index
+    order, empty ones included, normalized to a lowest-index one; None if
+    every prefix is solvable."""
+    spec, b = m.spec, rhs.raw_cells()
+    elim = Eliminator(spec)
+    for i in range(m.num_rows):
+        combo = elim.feed(m.raw_row(i), b.get(i, spec.zero))
+        if combo is not None:
+            lead = spec.inv(combo[min(combo)])
+            return Vector.from_pairs(spec, m.num_rows,
+                                     ((k, spec.mul(lead, v)) for k, v in combo.items()))
+    return None
+
+
+def refutation_cases(spec: FieldSpec, rng: random.Random):
+    """Seeded tall systems, each with repeated rows, in three kinds: random
+    right-hand sides; an empty first row with a nonzero right-hand side; and
+    a planted solution broken only on the last row, a repeat."""
+    for trial in range(90):
+        kind = trial % 3
+        r, c = rng.randint(2, 10), rng.randint(1, 6)
+        rows = [{j: gen.rand_nonzero(spec, rng)
+                 for j in rng.sample(range(c), rng.randint(1, min(c, 3)))} for _ in range(r)]
+        for _ in range(rng.randint(1, 2)):
+            rows[rng.randrange(1, r)] = dict(rows[rng.randrange(r)])
+        if kind == 0:
+            b = [gen.rand_scalar(spec, rng) for _ in range(r)]
+        else:
+            x = [gen.rand_scalar(spec, rng) for _ in range(c)]
+            b = [sum((v * x[j] for j, v in row.items()), spec.zero) for row in rows]
+            if kind == 1:
+                rows[0], b[0] = {}, gen.rand_nonzero(spec, rng)
+            else:
+                k = rng.randrange(r - 1)
+                rows[-1], b[-1] = dict(rows[k]), b[k] + gen.rand_nonzero(spec, rng)
+        m = SparseMatrix.from_entries(spec, r, c, [(i, j, v) for i, row in enumerate(rows)
+                                                   for j, v in row.items()])
+        yield kind, m, Vector.from_dense(spec, b)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF5, FieldSpec.gf(1000003), QQ], ids=str)
+def test_refutations_match_a_tracked_elimination_in_row_order(spec):
+    """``solve``'s certificate and ``unsolvable_core``'s core, read off the
+    transpose, equal those of a tracked elimination of the rows in order."""
+    rng = random.Random(f"transpose-refutation/{spec.modulus}")
+    refuted = {0: 0, 1: 0, 2: 0}
+    for kind, m, rhs in refutation_cases(spec, rng):
+        ref = reference_refutation(m, rhs)
+        out = solve(m, rhs)
+        if ref is None:
+            assert isinstance(out, Vector)
+            with pytest.raises(ValueError):
+                unsolvable_core(m, rhs)
+            continue
+        refuted[kind] += 1
+        assert isinstance(out, UnsolvabilityCertificate) and out.y == ref
+        assert unsolvable_core(m, rhs) == ref.support
+        if kind == 1:
+            assert ref.support == {0}
+        if kind == 2:
+            assert m.num_rows - 1 in ref.support
+    assert refuted[0] >= 10 and refuted[1] == refuted[2] == 30

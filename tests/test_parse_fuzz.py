@@ -20,6 +20,13 @@ from thincert.cli import main
 from thincert.files import _fail
 
 
+def from_cells(spec: FieldSpec, num_rows: int, num_cols: int,
+               per_row: dict[int, dict[int, FieldElement]]) -> SparseMatrix:
+    """``SparseMatrix._trusted`` on ``{row: {col: nonzero element}}`` cells, in any order."""
+    return SparseMatrix._trusted(spec, num_rows, num_cols, {
+        i: {j: el.value for j, el in sorted(cells.items())} for i, cells in per_row.items()})
+
+
 def reference_parse_matrix(text: str) -> SparseMatrix:
     spec: FieldSpec | None = None
     dims: tuple[int, int] | None = None
@@ -82,7 +89,7 @@ def reference_parse_matrix(text: str) -> SparseMatrix:
         if value == 0:
             _fail(lineno, "explicit zero entries are not allowed")
         cells[j] = box(spec, value)
-    return SparseMatrix._from_cells(spec, nr, nc, per_row)
+    return from_cells(spec, nr, nc, per_row)
 
 
 # Each list repeats its valid choices so that most texts get far into the
