@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .linalg import SparseMatrix
@@ -119,9 +119,9 @@ class Matching:
     @classmethod
     def checked(cls, graph: SupportGraph, pairs: Iterable[tuple[int, int]]) -> "Matching":
         ps = frozenset(pairs)
-        cols_seen, rows_seen = set(), set()
+        adj, cols_seen, rows_seen = graph.adj, set(), set()
         for j, i in ps:
-            if not graph.has_edge(j, i):
+            if i not in adj.get(j, ()):
                 raise ValueError(f"(c{j}, r{i}) is not an edge")
             if j in cols_seen or i in rows_seen:
                 raise ValueError(f"vertex reused at (c{j}, r{i})")
@@ -167,15 +167,19 @@ def max_matching(graph: SupportGraph) -> Matching:
 
 
 def _augment(adj: dict[int, tuple[int, ...]], roots: Iterable[int],
-             match_row: dict[int, int]) -> None:
+             match_row: dict[int, int]) -> set[int]:
     """Grow the matching ``match_row`` (row -> col) by one augmenting-path
-    search from each unmatched root, in the given order.
+    search from each unmatched root, in the given order, and return the
+    dead rows.
 
     Each search is a depth-first search on an explicit stack, so no path
     length hits the recursion limit: rows are tried in sorted order, and a
     row's owner is searched before the next row is tried.  Rows reached by
     a failed search are dead (matched to columns whose neighbours are all
     dead), so no augmenting path enters them and later searches skip them.
+    Dead rows therefore keep their owners, and a failed root stays
+    unmatched: once every root is searched, the dead rows are exactly the
+    rows reachable by alternating paths from the unmatched roots.
     """
     dead: set[int] = set()
     for root in roots:
@@ -207,6 +211,7 @@ def _augment(adj: dict[int, tuple[int, ...]], roots: Iterable[int],
                 break
             stack.append((col, todo, row))
             col, todo = owner, iter(adj[owner])
+    return dead
 
 
 def hall_violator(graph: SupportGraph) -> frozenset[int] | None:
@@ -216,7 +221,9 @@ def hall_violator(graph: SupportGraph) -> frozenset[int] | None:
     a maximum matching leaves unmatched.  That set is the same for every
     maximum matching (Dulmage-Mendelsohn), so the matching here starts
     greedily, each column in index order taking its lowest free row, and
-    augmenting paths are searched only from the columns left over.
+    augmenting paths are searched only from the columns left over.  The
+    rows their failed searches reach are N(J0), and J0 is the unmatched
+    columns with the owners of those rows.
     """
     adj = graph.adj
     match_row: dict[int, int] = {}   # row -> col
@@ -228,33 +235,14 @@ def hall_violator(graph: SupportGraph) -> frozenset[int] | None:
                 break
         else:
             left_over.append(j)
-    _augment(adj, left_over, match_row)
+    dead = _augment(adj, left_over, match_row)
     Matching.checked(graph, ((j, i) for i, j in match_row.items()))
-    return _hall_violator(graph, match_row)
-
-
-def _hall_violator(graph: SupportGraph, row_to_col: Mapping[int, int]) -> frozenset[int] | None:
-    """``hall_violator`` given a maximum matching of the graph as a row -> column map."""
-    adj = graph.adj
-    reach_cols = set(graph.left)
-    reach_cols.difference_update(row_to_col.values())
-    if not reach_cols:
+    exposed = set(left_over).difference(match_row.values())
+    if not exposed:
         return None
-    reach_rows: set[int] = set()
-    frontier = list(filter(adj.__getitem__, reach_cols))   # exposed columns with edges
-    while frontier:
-        col = frontier.pop()
-        for row in adj[col]:
-            if row in reach_rows:
-                continue
-            reach_rows.add(row)
-            back = row_to_col.get(row)
-            if back is not None and back not in reach_cols:
-                reach_cols.add(back)
-                frontier.append(back)
-    violator = frozenset(reach_cols)
+    violator = frozenset(chain(exposed, map(match_row.__getitem__, dead)))
     if not len(graph.neighbourhood(violator)) < len(violator):
-        raise AssertionError("alternating reachability produced a non-violating set")
+        raise AssertionError("failed augmenting searches produced a non-violating set")
     return violator
 
 

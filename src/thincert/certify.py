@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .bigraph import Matching, _hall_violator, max_matching, support_graph
+from .bigraph import Matching, SupportGraph, hall_violator, max_matching, support_graph
 from .linalg import SparseMatrix, Vector, _first_kernel_vector
 
 __all__ = [
@@ -91,9 +91,10 @@ class Bijection:
         return cls(fwd, {i: j for j, i in sorted(fwd.items())})
 
 
-def _column_cover(matrix: SparseMatrix, m: Matching | None = None) -> Matching:
-    """A maximum matching (``m`` if given), which must cover the columns of a trivial kernel."""
-    m = m if m is not None else max_matching(support_graph(matrix))
+def _column_cover(matrix: SparseMatrix, graph: SupportGraph | None = None) -> Matching:
+    """A maximum matching of the support graph (``graph`` if given), which
+    must cover the columns of a trivial kernel."""
+    m = max_matching(graph if graph is not None else support_graph(matrix))
     if m.size != matrix.num_cols:
         raise AssertionError("trivial kernel but no column-covering matching; "
                              "this contradicts the finite covering theorem")
@@ -103,17 +104,17 @@ def _column_cover(matrix: SparseMatrix, m: Matching | None = None) -> Matching:
 def certify_columns(matrix: SparseMatrix, via_violator: bool = False) -> Certificate:
     """Either an Sdr for the columns or a verified kernel vector.
 
-    With ``via_violator`` a maximum matching is found first.  If it leaves a
-    Hall violator J0 (a trivial kernel never does), the kernel vector of
-    the violator's submatrix alone (rows N(J0), columns J0, fewer rows than
+    With ``via_violator`` a Hall violator J0 is sought first.  If there is
+    one (a trivial kernel never has one), the kernel vector of the
+    violator's submatrix alone (rows N(J0), columns J0, fewer rows than
     columns) is extended by zeros, a genuine kernel vector since rows
-    outside N(J0) carry no support on J0.  Otherwise the matching is reused.
+    outside N(J0) carry no support on J0.  Otherwise the support graph is
+    reused for the Sdr's matching.
     """
-    matching = None
+    graph = None
     if via_violator:
         graph = support_graph(matrix)
-        matching = max_matching(graph)
-        violator = _hall_violator(graph, matching.row_to_col)
+        violator = hall_violator(graph)
         if violator is not None:
             rows = sorted(graph.neighbourhood(violator))
             cols = sorted(violator)
@@ -132,7 +133,7 @@ def certify_columns(matrix: SparseMatrix, via_violator: bool = False) -> Certifi
     kern = _first_kernel_vector(matrix)
     if kern is not None:
         return Dependence.checked(matrix, kern, "col")
-    return Sdr.checked(matrix, _column_cover(matrix, matching).col_to_row)
+    return Sdr.checked(matrix, _column_cover(matrix, graph).col_to_row)
 
 
 def diagonalize(matrix: SparseMatrix) -> Bijection | Dependence:

@@ -3,7 +3,8 @@
 The column universe grows as new column indices appear.  Solvability status
 is monotone: once some prefix is refuted the status latches, though later
 rows are still accepted.  The refutation core comes straight from the
-elimination provenance and is re-verified in isolation before it is stored.
+elimination provenance, and its row combination is checked on the core's
+rows alone before it is stored.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable, Union
 
 from .elimination import Eliminator
 from .field import FieldElement, FieldSpec, Raw
-from .linalg import Vector, _row_products
+from .linalg import SparseMatrix, UnsolvabilityCertificate, Vector, _row_products
 
 __all__ = ["AllPrefixesSolvable", "UnsolvableAt", "StreamStatus", "StreamState"]
 
@@ -69,15 +70,23 @@ class StreamState:
         self._rows.append((cells, rhs_raw))
         combo = self._elim.feed(cells, rhs_raw)
         if combo is not None and self.is_solvable:
-            core = frozenset(combo)
-            self._verify_core(core)
-            self.status = UnsolvableAt(len(self._rows), core)
+            self._verify_core(combo)
+            self.status = UnsolvableAt(len(self._rows), frozenset(combo))
         return self
 
-    def _verify_core(self, core: frozenset[int]) -> None:
-        check = Eliminator(self.spec, track=False)
-        if not any(check.feed(*self._rows[i]) is not None for i in sorted(core)):
-            raise AssertionError("stream core is not unsolvable in isolation")
+    def _verify_core(self, combo: dict[int, Raw]) -> None:
+        """Check the combination ``combo`` ({row: coefficient}) as an
+        unsolvability certificate of the core's rows alone."""
+        spec, core = self.spec, sorted(combo)
+        rows = [self._rows[i] for i in core]
+        sub = SparseMatrix._trusted(spec, len(core), self.num_cols, {
+            pos: dict(sorted(cells.items())) for pos, (cells, _) in enumerate(rows)})
+        rhs = Vector.from_pairs(spec, len(core), ((pos, b) for pos, (_, b) in enumerate(rows)))
+        y = Vector.from_pairs(spec, len(core), ((pos, combo[i]) for pos, i in enumerate(core)))
+        try:
+            UnsolvabilityCertificate.checked(sub, rhs, y)
+        except ValueError:
+            raise AssertionError("stream core is not unsolvable in isolation") from None
 
     def solution(self) -> Vector:
         """A solution of everything pushed so far, free variables zero."""

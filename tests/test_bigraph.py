@@ -11,7 +11,7 @@ import gen
 from thincert import (FieldSpec, Matching, SaturatedString, SparseMatrix, SupportGraph,
                       Vertex, cantor_bernstein_merge, deficiency_string, hall_violator,
                       is_saturated, max_matching, mu_finite, parse_matrix, support_graph)
-from thincert.bigraph import _hall_violator
+from thincert import bigraph
 
 GF2 = FieldSpec.gf(2)
 QQ = FieldSpec.rationals()
@@ -292,11 +292,54 @@ def test_seeded_violator_on_staircases_and_isolated_columns(g):
     # Alternating reachability from the exposed columns gives the same set
     # for every maximum matching, so the greedy seed cannot change it.
     violator = hall_violator(g)
-    assert violator == _hall_violator(g, max_matching(g).row_to_col)
+    assert violator == reference_hall_violator(g)
     if violator is not None:
         s = deficiency_string(g, violator)
         assert s == SaturatedString(tuple(Vertex(side, i) for side, i in s))
         assert is_saturated(g, s) and mu_finite(g, s) < 0
+
+
+def augmenting_searches(graph):
+    """(match_row, dead rows) of both searches: ``max_matching``'s from every
+    column in index order, then ``hall_violator``'s from the columns its
+    greedy seed leaves over."""
+    out = []
+    augment = bigraph._augment
+
+    def spy(adj, roots, match_row):
+        dead = augment(adj, roots, match_row)
+        out.append((match_row, dead))
+        return dead
+
+    bigraph._augment = spy
+    try:
+        max_matching(graph)
+        hall_violator(graph)
+    finally:
+        bigraph._augment = augment
+    assert len(out) == 2
+    return out
+
+
+def assert_dead_rows_are_the_violator_hood(graph):
+    # The rows the failed searches reach are N(J0), and J0 is the unmatched
+    # columns with those rows' owners, whichever maximum matching is grown.
+    j0 = reference_hall_violator(graph)
+    for match_row, dead in augmenting_searches(graph):
+        exposed = set(graph.left).difference(match_row.values())
+        assert dead == (graph.neighbourhood(j0) if j0 else set())
+        assert (frozenset(exposed.union(map(match_row.__getitem__, dead))) or None) == j0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(bipartite_graphs())
+def test_dead_rows_are_the_violator_hood_on_staircases(g):
+    assert_dead_rows_are_the_violator_hood(g)
+
+
+def test_dead_rows_are_the_violator_hood_on_oracle_graphs():
+    for g in gen.oracle_graphs():
+        assert_dead_rows_are_the_violator_hood(g)
 
 
 def test_hall_violator_checks_its_matching_once(monkeypatch):

@@ -331,19 +331,21 @@ def test_violator_first_eliminates_only_its_submatrix(spec, monkeypatch):
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_one_matching_per_certificate(spec, monkeypatch):
     """A covered matrix gets its Sdr from a single maximum matching, with or
-    without ``via_violator``; a violator also needs just the one."""
+    without ``via_violator``, after one ``hall_violator`` with it; a violator
+    is read off ``hall_violator``'s own search, with no canonical matching."""
     calls = []
-    max_matching = thincert.certify.max_matching
-    monkeypatch.setattr(thincert.certify, "max_matching",
-                        lambda graph: calls.append(graph) or max_matching(graph))
+    for name in ("max_matching", "hall_violator"):
+        fn = getattr(thincert.certify, name)
+        monkeypatch.setattr(thincert.certify, name,
+                            lambda graph, fn=fn, name=name: calls.append(name) or fn(graph))
     rng = random.Random(f"one-matching/{spec.modulus}")
     for _ in range(10):
         m = gen.independent_cols_matrix(spec, rng, max_rows=12, max_cols=10)
         for via in (False, True):
             calls.clear()
             assert isinstance(certify_columns(m, via_violator=via), Sdr)
-            assert len(calls) == 1
+            assert calls == (["hall_violator", "max_matching"] if via else ["max_matching"])
         calls.clear()
         assert isinstance(certify_columns(square_hall(spec, rng, 10, 4), via_violator=True),
                           Dependence)
-        assert len(calls) == 1
+        assert calls == ["hall_violator"]

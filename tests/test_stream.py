@@ -8,6 +8,7 @@ import pytest
 import gen
 from thincert import (AllPrefixesSolvable, FieldSpec, SparseMatrix, StreamState,
                       UnsolvableAt, Vector, solve)
+from thincert.elimination import Eliminator
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.gf(2)
@@ -145,6 +146,24 @@ def test_unsolvable_core_refutes_in_isolation():
         m = SparseMatrix.from_entries(spec, len(core), ncols, entries)
         out = solve(m, Vector.from_dense(spec, rhs_vals))
         assert not isinstance(out, Vector)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF5, QQ], ids=str)
+def test_tampered_core_combination_is_refused(spec, monkeypatch):
+    # The latch's row combination is checked as a certificate of the core's
+    # rows: doubling one coefficient breaks y^T A = 0, and the latch fails.
+    feed = Eliminator.feed
+
+    def tampered(self, cells, rhs):
+        combo = feed(self, cells, rhs)
+        return combo and {i: 2 * c if i == min(combo) else c for i, c in combo.items()}
+
+    st = StreamState(spec)
+    st.push([(0, 1), (1, 1)], 1)
+    monkeypatch.setattr(Eliminator, "feed", tampered)
+    with pytest.raises(AssertionError, match="stream core is not unsolvable in isolation"):
+        st.push([(0, 1), (1, 1)], 0)
+    assert st.is_solvable
 
 
 def test_push_chains_and_counts():
