@@ -64,8 +64,8 @@ def _is_prime(n: int) -> bool:
 class FieldSpec:
     """The scalar domain: the rationals (``modulus is None``) or GF(modulus).
 
-    Instances double as the raw-value arithmetic kernel used by the
-    elimination engine; ``FieldElement`` is the boxed public scalar.
+    Its methods do arithmetic on canonical raw values; ``FieldElement`` is
+    the boxed public scalar.
     """
 
     __slots__ = ("modulus", "zero", "one")
@@ -183,17 +183,35 @@ class FieldSpec:
         return str(value)
 
     def element(self, value: "int | Fraction | FieldElement") -> "FieldElement":
-        return FieldElement(self, self.coerce(value))
+        return FieldElement(self, value)
+
+
+def _binary(raw_op: str, reflected: bool = False):
+    """The operator ``self (raw_op) other``, or ``other (raw_op) self`` when
+    reflected.  The ``FieldSpec`` method is looked up on every call, so a
+    wrapper installed on the class sees each one."""
+    def op(self: "FieldElement", other: object) -> "FieldElement":
+        b = self._other_raw(other)
+        if b is None:
+            return NotImplemented
+        spec = self.spec
+        a, b = (b, self.value) if reflected else (self.value, b)
+        return FieldElement._canonical(spec, getattr(spec, raw_op)(a, b))
+    return op
 
 
 class FieldElement:
-    """A scalar paired with its field.  Immutable; arithmetic is exact."""
+    """A scalar paired with its field.  Immutable; arithmetic is exact.
+
+    The constructor takes an int, a Fraction (over Q only) or an element of
+    the same field, and stores its canonical raw value.
+    """
 
     __slots__ = ("spec", "value")
 
-    def __init__(self, spec: FieldSpec, value: Raw):
+    def __init__(self, spec: FieldSpec, value: "int | Fraction | FieldElement"):
         self.spec = spec
-        self.value = spec.coerce(value) if isinstance(value, int) else value
+        self.value = spec.coerce(value)
 
     @staticmethod
     def _canonical(spec: FieldSpec, value: Raw) -> "FieldElement":
@@ -204,73 +222,33 @@ class FieldElement:
         return el
 
     def _other_raw(self, other: object) -> Raw | None:
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise ValueError("field elements from different fields")
-            return other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.spec.coerce(other)
-        if isinstance(other, Fraction) and not self.spec.is_prime_field:
-            return other
-        return None
+        """``other`` coerced into this field, or None for a type the field
+        does not take; an element of another field raises ValueError."""
+        if isinstance(other, bool) or not isinstance(other, (FieldElement, int, Fraction)):
+            return None
+        if isinstance(other, Fraction) and self.spec.is_prime_field:
+            return None
+        return self.spec.coerce(other)
 
-    def __add__(self, other: object) -> "FieldElement":
-        b = self._other_raw(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add(self.value, b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "FieldElement":
-        b = self._other_raw(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(self.value, b))
-
-    def __rsub__(self, other: object) -> "FieldElement":
-        b = self._other_raw(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(b, self.value))
-
-    def __mul__(self, other: object) -> "FieldElement":
-        b = self._other_raw(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul(self.value, b))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "FieldElement":
-        b = self._other_raw(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.div(self.value, b))
-
-    def __rtruediv__(self, other: object) -> "FieldElement":
-        b = self._other_raw(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.div(b, self.value))
+    __add__, __radd__ = _binary("add"), _binary("add", True)
+    __sub__, __rsub__ = _binary("sub"), _binary("sub", True)
+    __mul__, __rmul__ = _binary("mul"), _binary("mul", True)
+    __truediv__, __rtruediv__ = _binary("div"), _binary("div", True)
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.neg(self.value))
+        return FieldElement._canonical(self.spec, self.spec.neg(self.value))
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.value))
+        return FieldElement._canonical(self.spec, self.spec.inv(self.value))
 
     def __bool__(self) -> bool:
         return self.value != 0
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == self.spec.coerce(other)
-        if isinstance(other, Fraction) and not self.spec.is_prime_field:
-            return self.value == other
-        return NotImplemented
+        if isinstance(other, FieldElement) and other.spec != self.spec:
+            return False
+        b = self._other_raw(other)
+        return NotImplemented if b is None else self.value == b
 
     def __hash__(self) -> int:
         return hash((self.spec, self.value))

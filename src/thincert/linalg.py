@@ -279,6 +279,8 @@ class SparseMatrix:
                 yield i, j, box(spec, v)
 
     def raw_row(self, i: int) -> dict[int, Raw]:
+        if not 0 <= i < self.num_rows:
+            raise IndexError(i)
         return dict(self._cells[i])
 
     def column(self, j: int) -> Vector:
@@ -305,12 +307,16 @@ class SparseMatrix:
         """Restriction to the given original rows and columns, reindexed densely."""
         col_pos = {}
         for pos, j in enumerate(col_ids):
+            if not 0 <= j < self.num_cols:
+                raise IndexError(j)
             if j in col_pos:
                 raise ValueError(f"duplicate column {j}")
             col_pos[j] = pos
         seen_rows = set()
         per_row = {}
         for pos, i in enumerate(row_ids):
+            if not 0 <= i < self.num_rows:
+                raise IndexError(i)
             if i in seen_rows:
                 raise ValueError(f"duplicate row {i}")
             seen_rows.add(i)

@@ -1,5 +1,6 @@
 """Field arithmetic: exactness, axioms, parsing and rendering."""
 
+import operator
 import random
 import time
 from fractions import Fraction
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thincert import FieldElement, FieldSpec, parse_scalar
+from thincert import FieldElement, FieldSpec, SparseMatrix, Vector, parse_scalar
 from thincert.field import MODULUS_BOUND
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.gf(2)
 GF5 = FieldSpec.gf(5)
+GF7 = FieldSpec.gf(7)
 
 
 def gf_elements(spec):
@@ -90,6 +92,27 @@ def test_coerce_rejects_bool_and_foreign_values():
         GF5.coerce(QQ.element(1))  # element of a different field
 
 
+def test_constructor_stores_the_canonical_raw_value():
+    for spec, value, raw in ((GF5, 7, 2), (GF5, -1, 4), (GF5, GF5.element(3), 3),
+                             (QQ, 3, Fraction(3)), (QQ, Fraction(-6, 4), Fraction(-3, 2)),
+                             (QQ, QQ.element(Fraction(1, 3)), Fraction(1, 3))):
+        el = FieldElement(spec, value)
+        assert el.spec == spec
+        assert el.value == raw and type(el.value) is type(raw)
+
+
+def test_constructor_rejects_what_the_field_cannot_hold():
+    for spec, bad in ((GF5, Fraction(1, 2)), (GF5, 1.5), (QQ, 1.5), (GF5, True),
+                      (GF5, GF7.element(1)), (GF5, QQ.element(1)), (QQ, GF5.element(1))):
+        with pytest.raises(ValueError):
+            FieldElement(spec, bad)
+    # so no public matrix or vector can hold such an element
+    with pytest.raises(ValueError):
+        SparseMatrix(GF5, 1, 1, (((0, FieldElement(GF5, Fraction(1, 2))),),))
+    with pytest.raises(ValueError):
+        Vector(QQ, 1, ((0, FieldElement(QQ, 1.5)),))
+
+
 def test_cross_field_arithmetic_rejected():
     with pytest.raises(ValueError):
         GF2.element(1) + GF5.element(1)
@@ -147,6 +170,77 @@ def test_fraction_mixing_only_over_the_rationals():
     assert GF5.element(2) != half
     with pytest.raises(TypeError):
         GF5.element(2) + half
+
+
+# --------------------------------------------------------------------------
+# the eight binary operators, pinned against FieldSpec's raw operations
+
+BINARY = [("__add__", operator.add, "add"), ("__radd__", operator.add, "add"),
+          ("__sub__", operator.sub, "sub"), ("__rsub__", operator.sub, "sub"),
+          ("__mul__", operator.mul, "mul"), ("__rmul__", operator.mul, "mul"),
+          ("__truediv__", operator.truediv, "div"), ("__rtruediv__", operator.truediv, "div")]
+
+
+INTS = [0, 1, 3, -2, 12, 2 ** 70 + 1]
+
+
+def _operands(spec):
+    """Same-field elements, ints and (over Q) Fractions, each with its raw value."""
+    out = [(spec.element(n), spec.coerce(n)) for n in INTS]
+    out += [(n, spec.coerce(n)) for n in INTS]
+    if not spec.is_prime_field:
+        out += [(f, f) for f in (Fraction(1, 2), Fraction(-7, 3))]
+    return out
+
+
+@pytest.mark.parametrize("dunder, op, raw_op", BINARY)
+@pytest.mark.parametrize("spec", [GF5, FieldSpec.gf(2 ** 61 - 1), QQ])
+def test_binary_operator_matches_the_raw_operation(spec, dunder, op, raw_op):
+    reflected = dunder.startswith("__r")
+    for a in map(spec.element, INTS):
+        for b, b_raw in _operands(spec):
+            x, y = (b_raw, a.value) if reflected else (a.value, b_raw)
+            try:
+                want = getattr(spec, raw_op)(x, y)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    getattr(a, dunder)(b)
+                continue
+            got = getattr(a, dunder)(b)
+            assert got.spec == spec
+            assert got.value == want and type(got.value) is type(want)
+            if not isinstance(b, FieldElement):   # Python's dispatch reaches the same method
+                assert (op(b, a) if reflected else op(a, b)) == got
+
+
+@pytest.mark.parametrize("dunder, op, raw_op", BINARY)
+def test_binary_operator_rejects_foreign_operands(dunder, op, raw_op):
+    reflected = dunder.startswith("__r")
+    for spec, bad in ((GF5, Fraction(1, 2)), (GF5, 1.5), (QQ, 1.5), (GF5, True), (QQ, False)):
+        a = spec.element(3)
+        assert getattr(a, dunder)(bad) is NotImplemented
+        with pytest.raises(TypeError):
+            op(bad, a) if reflected else op(a, bad)
+    for a, other in ((GF5.element(3), GF7.element(2)), (QQ.element(3), GF5.element(2))):
+        with pytest.raises(ValueError):
+            getattr(a, dunder)(other)
+
+
+def test_operators_look_up_the_raw_operation_on_every_call(monkeypatch):
+    # A wrapper installed on FieldSpec later (a call counter) sees each use.
+    calls = []
+    raw_mul = FieldSpec.mul
+    monkeypatch.setattr(FieldSpec, "mul", lambda spec, a, b: calls.append(a * b) or raw_mul(spec, a, b))
+    assert GF5.element(2) * 3 == 1 and 3 * GF5.element(2) == 1
+    assert GF5.element(1) / GF5.element(2) == 3     # div multiplies by the inverse
+    assert calls == [6, 6, 3]
+
+
+def test_equality_across_fields_is_false_not_an_error():
+    assert GF5.element(1) != GF7.element(1)
+    assert not GF5.element(1) == QQ.element(1)
+    assert GF5.element(3) == 8 and QQ.element(Fraction(1, 2)) == Fraction(1, 2)
+    assert GF5.element(1) != 1.0 and QQ.element(1) != True   # noqa: E712
 
 
 def test_division_by_zero():

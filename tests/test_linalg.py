@@ -112,6 +112,22 @@ def test_submatrix_reindexes_in_given_order():
     assert s.entry(0, 0) == 8 and s.entry(1, 0) == 2
 
 
+def test_submatrix_and_raw_row_reject_out_of_range_ids():
+    # A negative id must not wrap round to the last row, and a column id
+    # out of range must not read as a zero column.
+    m = SparseMatrix.from_dense(QQ, [[1, 2], [3, 4]])
+    for rows, cols in (([-1], [0, 1]), ([2], [0]), ([0], [-1]), ([0], [2]), ([0, 5], [0])):
+        with pytest.raises(IndexError):
+            m.submatrix(rows, cols)
+    for i in (-1, 2):
+        with pytest.raises(IndexError):
+            m.raw_row(i)
+    with pytest.raises(ValueError):
+        m.submatrix([0, 0], [0])
+    with pytest.raises(ValueError):
+        m.submatrix([0], [1, 1])
+
+
 # --------------------------------------------------------------------------
 # worked examples, frozen
 
