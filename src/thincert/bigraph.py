@@ -14,8 +14,9 @@ from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
+from .linalg import SparseMatrix, _self_check
+
 if TYPE_CHECKING:
-    from .linalg import SparseMatrix
     from .strings import SaturatedString
 
 __all__ = [
@@ -151,7 +152,7 @@ class Matching:
         return self.covers_cols(graph) and self.covers_rows(graph)
 
 
-def support_graph(matrix: "SparseMatrix") -> SupportGraph:
+def support_graph(matrix: SparseMatrix) -> SupportGraph:
     """The bipartite graph whose edges are the nonzero positions of the matrix."""
     graph = SupportGraph.__new__(SupportGraph)
     graph._index(range(matrix.num_cols),
@@ -163,7 +164,7 @@ def max_matching(graph: SupportGraph) -> Matching:
     """Maximum matching by augmenting paths, columns tried in index order."""
     match_row: dict[int, int] = {}   # row -> col
     _augment(graph.adj, graph.left, match_row)
-    return Matching.checked(graph, ((j, i) for i, j in match_row.items()))
+    return _self_check(Matching.checked, graph, ((j, i) for i, j in match_row.items()))
 
 
 def _augment(adj: dict[int, tuple[int, ...]], roots: Iterable[int],
@@ -236,7 +237,7 @@ def hall_violator(graph: SupportGraph) -> frozenset[int] | None:
         else:
             left_over.append(j)
     dead = _augment(adj, left_over, match_row)
-    Matching.checked(graph, ((j, i) for i, j in match_row.items()))
+    _self_check(Matching.checked, graph, ((j, i) for i, j in match_row.items()))
     exposed = set(left_over).difference(match_row.values())
     if not exposed:
         return None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .bigraph import Matching, SupportGraph, hall_violator, max_matching, support_graph
-from .linalg import SparseMatrix, Vector, _first_kernel_vector
+from .linalg import SparseMatrix, Vector, _first_kernel_vector, _self_check
 
 __all__ = [
     "Sdr",
@@ -80,15 +80,9 @@ class Bijection:
     def checked(cls, matrix: SparseMatrix, col_to_row: Mapping[int, int]) -> "Bijection":
         if matrix.num_rows != matrix.num_cols:
             raise ValueError("bijection requires a square matrix")
-        if sorted(col_to_row) != list(range(matrix.num_cols)):
-            raise ValueError("mapping must cover every column exactly once")
-        if sorted(col_to_row.values()) != list(range(matrix.num_rows)):
-            raise ValueError("mapping must hit every row exactly once")
-        for j, i in col_to_row.items():
-            if not matrix.entry(i, j):
-                raise ValueError(f"entry at (r{i}, c{j}) is zero")
-        fwd = dict(sorted(col_to_row.items()))
-        return cls(fwd, {i: j for j, i in sorted(fwd.items())})
+        # On a square matrix an injective cover of the columns hits every row.
+        fwd = Sdr.checked(matrix, col_to_row).assignment
+        return cls(fwd, {i: j for j, i in fwd.items()})
 
 
 def _column_cover(matrix: SparseMatrix, graph: SupportGraph | None = None) -> Matching:
@@ -129,11 +123,11 @@ def certify_columns(matrix: SparseMatrix, via_violator: bool = False) -> Certifi
                                      "yet a trivial kernel")
             lam = Vector.from_pairs(matrix.spec, matrix.num_cols,
                                     ((cols[pos], el) for pos, el in local.entries))
-            return Dependence.checked(matrix, lam, "col")
+            return _self_check(Dependence.checked, matrix, lam, "col")
     kern = _first_kernel_vector(matrix)
     if kern is not None:
-        return Dependence.checked(matrix, kern, "col")
-    return Sdr.checked(matrix, _column_cover(matrix, graph).col_to_row)
+        return _self_check(Dependence.checked, matrix, kern, "col")
+    return _self_check(Sdr.checked, matrix, _column_cover(matrix, graph).col_to_row)
 
 
 def diagonalize(matrix: SparseMatrix) -> Bijection | Dependence:
@@ -151,7 +145,7 @@ def diagonalize(matrix: SparseMatrix) -> Bijection | Dependence:
     """
     row_kern = _first_kernel_vector(matrix.transpose())
     if row_kern is not None:
-        return Dependence.checked(matrix, row_kern, "row")
+        return _self_check(Dependence.checked, matrix, row_kern, "row")
     if matrix.num_rows != matrix.num_cols:
-        return Dependence.checked(matrix, _first_kernel_vector(matrix), "col")
-    return Bijection.checked(matrix, _column_cover(matrix).col_to_row)
+        return _self_check(Dependence.checked, matrix, _first_kernel_vector(matrix), "col")
+    return _self_check(Bijection.checked, matrix, _column_cover(matrix).col_to_row)

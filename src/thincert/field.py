@@ -245,13 +245,14 @@ class FieldElement:
         return self.value != 0
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement) and other.spec != self.spec:
-            return False
-        b = self._other_raw(other)
-        return NotImplemented if b is None else self.value == b
+        if isinstance(other, FieldElement):
+            return other.spec == self.spec and self.value == other.value
+        # A plain number is compared unreduced, so equal objects hash alike:
+        # over GF(5) the element 3 equals 3 but not 8.
+        return NotImplemented if self._other_raw(other) is None else self.value == other
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.value))
+        return hash(self.value)
 
     def __str__(self) -> str:
         return self.spec.render_raw(self.value)

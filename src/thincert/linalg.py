@@ -373,6 +373,17 @@ class UnsolvabilityCertificate:
         return cls(y)
 
 
+def _self_check(factory, *args):
+    """Run a certificate's ``checked`` factory on a certificate this library
+    built.  A refusal there is the library's fault, not the input's, so its
+    ``ValueError`` is re-raised as ``AssertionError``.  The caller looks the
+    factory up on each call, so a wrapper put on the class sees every check."""
+    try:
+        return factory(*args)
+    except ValueError as exc:
+        raise AssertionError(f"self-check failed: {exc}") from exc
+
+
 def _feed_all(matrix: SparseMatrix, rhs: Vector | None) -> tuple[Eliminator, bool]:
     """Feed rows, sparsest first, until the first contradiction, and say
     whether there was one.  Empty rows are fed only with a nonzero right-hand
@@ -467,7 +478,8 @@ def _refutation(matrix: SparseMatrix, rhs: Vector) -> UnsolvabilityCertificate |
     if elim.rank == before:
         return None
     y = elim.kernel_vector(next(reversed(elim.pivots)))     # b's lead is the newest pivot
-    return UnsolvabilityCertificate.checked(matrix, rhs, _normalized(matrix.spec, matrix.num_rows, y))
+    return _self_check(UnsolvabilityCertificate.checked,
+                       matrix, rhs, _normalized(matrix.spec, matrix.num_rows, y))
 
 
 def solve(matrix: SparseMatrix, rhs: Vector) -> Vector | UnsolvabilityCertificate:
@@ -494,8 +506,9 @@ def unsolvable_core(matrix: SparseMatrix, rhs: Vector, minimize: bool = False) -
     """Row indices whose combination refutes A x = b.
 
     The core is the support of ``solve``'s certificate, computed by one
-    elimination of the transpose, and that certificate restricted to the core
-    is re-checked against the core's rows alone.  It is irreducible, so
+    elimination of the transpose and checked once against the whole system.
+    Rows outside the core have coefficient zero, so that check is already a
+    check on the core's rows alone.  The core is irreducible, so
     ``minimize`` has nothing to do: the certificate combines one row with
     independent earlier rows, so every proper subset is solvable.
     """
@@ -503,14 +516,4 @@ def unsolvable_core(matrix: SparseMatrix, rhs: Vector, minimize: bool = False) -
     outcome = _refutation(matrix, rhs)
     if outcome is None:
         raise ValueError("system is solvable, no core exists")
-    core = sorted(outcome.y.support)
-    rhs_cells, spec = rhs.raw_cells(), matrix.spec
-    sub = matrix.submatrix(core, range(matrix.num_cols))
-    sub_rhs = Vector.from_pairs(spec, len(core), (
-        (pos, rhs_cells.get(i, spec.zero)) for pos, i in enumerate(core)))
-    y = Vector(spec, len(core), tuple(enumerate(el for _, el in outcome.y.entries)))
-    try:
-        UnsolvabilityCertificate.checked(sub, sub_rhs, y)
-    except ValueError:
-        raise AssertionError("extracted core is not unsolvable in isolation") from None
-    return frozenset(core)
+    return outcome.y.support

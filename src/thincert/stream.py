@@ -14,7 +14,7 @@ from typing import Iterable, Union
 
 from .elimination import Eliminator
 from .field import FieldElement, FieldSpec, Raw
-from .linalg import SparseMatrix, UnsolvabilityCertificate, Vector, _row_products
+from .linalg import SparseMatrix, UnsolvabilityCertificate, Vector, _row_products, _self_check
 
 __all__ = ["AllPrefixesSolvable", "UnsolvableAt", "StreamStatus", "StreamState"]
 
@@ -83,10 +83,7 @@ class StreamState:
             pos: dict(sorted(cells.items())) for pos, (cells, _) in enumerate(rows)})
         rhs = Vector.from_pairs(spec, len(core), ((pos, b) for pos, (_, b) in enumerate(rows)))
         y = Vector.from_pairs(spec, len(core), ((pos, combo[i]) for pos, i in enumerate(core)))
-        try:
-            UnsolvabilityCertificate.checked(sub, rhs, y)
-        except ValueError:
-            raise AssertionError("stream core is not unsolvable in isolation") from None
+        _self_check(UnsolvabilityCertificate.checked, sub, rhs, y)
 
     def solution(self) -> Vector:
         """A solution of everything pushed so far, free variables zero."""

@@ -17,7 +17,7 @@ from typing import Container, Iterable, Sequence, Union
 from .bigraph import SupportGraph, Vertex, support_graph
 from .elimination import Eliminator
 from .field import Raw
-from .linalg import SparseMatrix, Vector, rank, solve
+from .linalg import SparseMatrix, Vector, _self_check, rank, solve
 
 __all__ = [
     "MuValue",
@@ -325,7 +325,7 @@ def lemma_witness(matrix: SparseMatrix, string: SaturatedString,
         if not matrix.mul_vector(lam).is_zero:
             raise AssertionError("dependent-column kernel vector failed verification")
         raise DependentColumnsError(f"column c{j0} depends on the earlier listed columns", lam)
-    pair = WitnessPair.checked(matrix, string, listed_rows, listed_cols)
+    pair = _self_check(WitnessPair.checked, matrix, string, listed_rows, listed_cols)
     if not base <= pair.rows:
         raise AssertionError("witness lost a required base row")
     return pair

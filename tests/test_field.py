@@ -239,8 +239,29 @@ def test_operators_look_up_the_raw_operation_on_every_call(monkeypatch):
 def test_equality_across_fields_is_false_not_an_error():
     assert GF5.element(1) != GF7.element(1)
     assert not GF5.element(1) == QQ.element(1)
-    assert GF5.element(3) == 8 and QQ.element(Fraction(1, 2)) == Fraction(1, 2)
+    # A plain int is compared unreduced, as the hash contract needs.
+    assert GF5.element(3) != 8 and GF5.element(3) == 3
+    assert QQ.element(Fraction(1, 2)) == Fraction(1, 2)
     assert GF5.element(1) != 1.0 and QQ.element(1) != True   # noqa: E712
+
+
+@given(st.integers(-30, 30), st.integers(1, 4))
+def test_equal_objects_hash_alike(n, d):
+    # Elements of GF(2), GF(5) and Q beside the ints and Fractions they may
+    # equal: objects that compare equal must hash alike.
+    frac = Fraction(n, d)
+    objs = [n, n + 10, frac, GF2.element(n), GF5.element(n), QQ.element(n), QQ.element(frac)]
+    for a in objs:
+        for b in objs:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+
+
+def test_sets_mixing_elements_and_numbers():
+    assert len({GF5.element(3), 8, 3}) == 2
+    assert len({QQ.element(1), 1}) == 1
+    assert len({QQ.element(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert GF5.element(3) != Fraction(3) and GF5.element(1) != True   # noqa: E712
 
 
 def test_division_by_zero():

@@ -339,9 +339,9 @@ def test_unsolvable_core_is_unsolvable_in_isolation():
 
 
 def test_unsolvable_core_checks_the_certificate_without_eliminating(monkeypatch):
-    # The core is proved by the certificate restricted to it, and the
-    # certificate comes from one elimination of the transpose: a core costs
-    # one Eliminator, a refuted solve two (its rows, then the transpose).
+    # The core is the support of a certificate that comes from one
+    # elimination of the transpose: a core costs one Eliminator, a refuted
+    # solve two (its rows, then the transpose).
     built = []
     init = Eliminator.__init__
 
@@ -366,6 +366,23 @@ def test_unsolvable_core_checks_the_certificate_without_eliminating(monkeypatch)
             built.clear()
             unsolvable_core(m, rhs)
             assert len(built) == 1 < solved == 2
+
+
+def test_unsolvable_core_checks_its_certificate_once(monkeypatch):
+    # The certificate is checked once, against the whole system; rows outside
+    # its support have coefficient zero, so no restriction is built and
+    # checked again.  Two million columns make a restriction of the rows slow.
+    calls = []
+    checked = UnsolvabilityCertificate.checked.__func__
+    submatrix = SparseMatrix.submatrix
+    monkeypatch.setattr(UnsolvabilityCertificate, "checked", classmethod(
+        lambda cls, *args: calls.append("checked") or checked(cls, *args)))
+    monkeypatch.setattr(SparseMatrix, "submatrix",
+                        lambda self, *args: calls.append("submatrix") or submatrix(self, *args))
+    m = SparseMatrix.from_entries(GF5, 3, 2_000_000, {(0, 5): 1, (1, 5): 1})
+    rhs = Vector.from_dense(GF5, [1, 2, 0])
+    assert unsolvable_core(m, rhs) == frozenset({0, 1})
+    assert calls == ["checked"]
 
 
 def test_unsolvable_core_minimize_is_minimal():

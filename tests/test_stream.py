@@ -151,7 +151,8 @@ def test_unsolvable_core_refutes_in_isolation():
 @pytest.mark.parametrize("spec", [GF2, GF5, QQ], ids=str)
 def test_tampered_core_combination_is_refused(spec, monkeypatch):
     # The latch's row combination is checked as a certificate of the core's
-    # rows: doubling one coefficient breaks y^T A = 0, and the latch fails.
+    # rows: doubling one coefficient breaks y^T A = 0, and the refusal of a
+    # certificate the library built is an internal failure.
     feed = Eliminator.feed
 
     def tampered(self, cells, rhs):
@@ -161,7 +162,7 @@ def test_tampered_core_combination_is_refused(spec, monkeypatch):
     st = StreamState(spec)
     st.push([(0, 1), (1, 1)], 1)
     monkeypatch.setattr(Eliminator, "feed", tampered)
-    with pytest.raises(AssertionError, match="stream core is not unsolvable in isolation"):
+    with pytest.raises(AssertionError, match="self-check failed: certificate does not annihilate the rows"):
         st.push([(0, 1), (1, 1)], 0)
     assert st.is_solvable
 
