@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .linalg import SparseMatrix, _self_check
+from .linalg import SparseMatrix, _is_index, _self_check
 
 if TYPE_CHECKING:
     from .strings import SaturatedString
@@ -39,6 +39,8 @@ class Vertex(NamedTuple("Vertex", [("side", str), ("index", int)])):
     def __new__(cls, side: str, index: int) -> "Vertex":
         if side not in ("r", "c"):
             raise ValueError(f"vertex side must be 'r' or 'c', got {side!r}")
+        if not _is_index(index):
+            raise ValueError(f"vertex index {index!r} is not an int")
         if index < 0:
             raise ValueError("vertex index must be nonnegative")
         return tuple.__new__(cls, (side, index))
@@ -72,10 +74,12 @@ class SupportGraph:
                  edges: Iterable[tuple[int, int]]):
         cols = set(left)
         rows: dict[int, set[int]] = {i: set() for i in sorted(set(right))}
+        if not all(map(_is_index, chain(cols, rows))):
+            raise ValueError("vertex indices must be ints")
         for j, i in edges:
-            if j not in cols:
+            if not (_is_index(j) and j in cols):
                 raise ValueError(f"edge endpoint c{j} is not a left vertex")
-            if i not in rows:
+            if not (_is_index(i) and i in rows):
                 raise ValueError(f"edge endpoint r{i} is not a right vertex")
             rows[i].add(j)
         self._index(sorted(cols), {i: tuple(sorted(s)) for i, s in rows.items()})
@@ -122,7 +126,8 @@ class Matching:
         ps = frozenset(pairs)
         adj, cols_seen, rows_seen = graph.adj, set(), set()
         for j, i in ps:
-            if i not in adj.get(j, ()):
+            if i not in adj.get(j, ()) or not (type(j) is int is type(i)  # fast common case
+                                               or _is_index(j) and _is_index(i)):
                 raise ValueError(f"(c{j}, r{i}) is not an edge")
             if j in cols_seen or i in rows_seen:
                 raise ValueError(f"vertex reused at (c{j}, r{i})")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .bigraph import Matching, SupportGraph, hall_violator, max_matching, support_graph
-from .linalg import SparseMatrix, Vector, _first_kernel_vector, _self_check
+from .linalg import SparseMatrix, Vector, _first_kernel_vector, _is_index, _self_check
 
 __all__ = [
     "Sdr",
@@ -38,9 +38,9 @@ class Sdr:
         if len(set(assignment.values())) != len(assignment):
             raise ValueError("assignment reuses a row")
         for j, i in assignment.items():
-            if not 0 <= i < matrix.num_rows:
-                raise ValueError(f"row r{i} out of range")
-            if not matrix.entry(i, j):
+            if not (_is_index(j) and _is_index(i) and 0 <= i < matrix.num_rows):
+                raise ValueError(f"c{j!r} -> r{i!r} is not a pair of indices in range")
+            if j not in matrix._cells[i]:
                 raise ValueError(f"entry at (r{i}, c{j}) is zero")
         return cls(dict(sorted(assignment.items())))
 
@@ -122,7 +122,7 @@ def certify_columns(matrix: SparseMatrix, via_violator: bool = False) -> Certifi
                 raise AssertionError("violator submatrix has fewer rows than columns "
                                      "yet a trivial kernel")
             lam = Vector.from_pairs(matrix.spec, matrix.num_cols,
-                                    ((cols[pos], el) for pos, el in local.entries))
+                                    ((cols[pos], v) for pos, v in local._cells.items()))
             return _self_check(Dependence.checked, matrix, lam, "col")
     kern = _first_kernel_vector(matrix)
     if kern is not None:

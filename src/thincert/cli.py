@@ -21,7 +21,6 @@ from .strings import (MuValue, OrdinalString, SaturatedString, is_saturated,
                       lemma_witness, mu_finite, mu_ordinal, parse_string_literal,
                       parse_vertex)
 from .stream import StreamState
-from .field import parse_scalar
 
 __all__ = ["main", "run"]
 
@@ -58,7 +57,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     scalars = args.rhs.split()
     if len(scalars) != matrix.num_rows:
         raise ValueError(f"right-hand side needs {matrix.num_rows} scalars, got {len(scalars)}")
-    rhs = Vector.from_dense(matrix.spec, [parse_scalar(s, matrix.spec) for s in scalars])
+    rhs = Vector.from_dense(matrix.spec, [matrix.spec.parse_raw(s) for s in scalars])
     outcome = solve(matrix, rhs)
     if isinstance(outcome, Vector):
         print(f"solution: {outcome}")
@@ -151,31 +150,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, fn, help_text: str) -> argparse.ArgumentParser:
+        """A command whose first argument is a matrix file."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
+        p.add_argument("matrix")
         return p
 
-    p = add("rank", _cmd_rank, "rank of a matrix file")
-    p.add_argument("matrix")
-    p = add("kernel", _cmd_kernel, "canonical kernel basis of the columns")
-    p.add_argument("matrix")
+    add("rank", _cmd_rank, "rank of a matrix file")
+    add("kernel", _cmd_kernel, "canonical kernel basis of the columns")
     p = add("solve", _cmd_solve, "solve A x = b or print a refutation")
-    p.add_argument("matrix")
     p.add_argument("rhs", help="dense right-hand side, e.g. '2 3'")
     p = add("certify", _cmd_certify, "column injection or kernel vector")
-    p.add_argument("matrix")
     p.add_argument("--via-violator", action="store_true",
                    help="localize the kernel vector to a covering violator")
-    p = add("diagonalize", _cmd_diagonalize, "two-sided diagonal rearrangement")
-    p.add_argument("matrix")
+    add("diagonalize", _cmd_diagonalize, "two-sided diagonal rearrangement")
     p = add("mu", _cmd_mu, "mu value of a vertex string")
-    p.add_argument("matrix")
     p.add_argument("string", help="e.g. 'r0 c0' or '[r0 | r1 c1]* r9'")
     p = add("witness", _cmd_witness, "rank witness for a saturated string")
-    p.add_argument("matrix")
     p.add_argument("string")
     p.add_argument("--include", default="", help="row vertices the witness must keep")
-    p = add("stream", _cmd_stream, "read '<rhs> ; <col>:<scalar> ...' rows from stdin")
+    p = sub.add_parser("stream", help="read '<rhs> ; <col>:<scalar> ...' rows from stdin")
+    p.set_defaults(fn=_cmd_stream)
     p.add_argument("--field", default="rational", help="'rational' or 'gf:<p>'")
     return parser
 

@@ -178,10 +178,6 @@ class FieldSpec:
             raise ZeroDivisionError(f"denominator of {text!r} vanishes in {self!r}")
         return self.mul(num % p, self.inv(den % p))
 
-    def render_raw(self, value: Raw) -> str:
-        # str(Fraction) already emits the canonical "n" / "n/d" form.
-        return str(value)
-
     def element(self, value: "int | Fraction | FieldElement") -> "FieldElement":
         return FieldElement(self, value)
 
@@ -255,7 +251,8 @@ class FieldElement:
         return hash(self.value)
 
     def __str__(self) -> str:
-        return self.spec.render_raw(self.value)
+        # str(Fraction) already emits the canonical "n" / "n/d" form.
+        return str(self.value)
 
     def __repr__(self) -> str:
         return f"FieldElement({self} over {self.spec!r})"

@@ -117,10 +117,9 @@ def render_matrix(matrix: SparseMatrix) -> str:
     spec = matrix.spec
     head = "field rational" if not spec.is_prime_field else f"field gf {spec.modulus}"
     lines = [head, f"{matrix.num_rows} {matrix.num_cols}"]
-    render = spec.render_raw
     for i, row in enumerate(matrix._cells):
         for j, v in row.items():
-            lines.append(f"{i} {j} {render(v)}")
+            lines.append(f"{i} {j} {v}")
     return "\n".join(lines) + "\n"
 
 

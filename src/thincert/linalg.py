@@ -31,39 +31,79 @@ __all__ = [
 Scalarish = Union[int, Fraction, FieldElement]
 
 
+def _box_view(self, name: str):
+    """``__getattr__`` of ``Vector`` and ``SparseMatrix``: only the boxed view
+    ``_VIEW`` can be missing, on a trusted instance.  Box it once and cache it."""
+    if name != self._VIEW:
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    view = self._boxed()
+    object.__setattr__(self, name, view)
+    return view
+
+
+def _is_index(x: object) -> bool:
+    """True for an int that is not a bool: ``True == 1``, ``1.0 == 1`` and
+    both hash alike, so either would pass every lookup as the index 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _checked_cells(spec: FieldSpec, pairs: Iterable[tuple[int, FieldElement]],
+                   bound: int) -> dict[int, Raw]:
+    """The raw cells of public (index, element) pairs, checked: indices are
+    ints ascending strictly in [0, bound), elements nonzero and of ``spec``."""
+    cells: dict[int, Raw] = {}
+    prev = -1
+    for idx, el in pairs:
+        if not (_is_index(idx) and prev < idx < bound):
+            raise ValueError(f"index {idx!r} is not an int above {prev} in range({bound})")
+        if el.spec is not spec and el.spec != spec:
+            raise ValueError("entry from a different field")
+        if not el:
+            raise ValueError("explicit zero entry")
+        cells[idx] = el.value
+        prev = idx
+    return cells
+
+
 @dataclass(frozen=True)
 class Vector:
-    """Immutable sparse vector: sorted (index, element) pairs, no zeros."""
+    """Immutable sparse vector: sorted (index, element) pairs, no zeros.
+
+    Stored raw like a ``SparseMatrix`` row; ``entries`` is boxed on first
+    access and cached.  Internal builders skip the checks via ``_trusted``.
+    """
 
     spec: FieldSpec
     length: int
     entries: tuple[tuple[int, FieldElement], ...]
+    _VIEW = "entries"
+    __getattr__ = _box_view
 
     def __post_init__(self) -> None:
-        spec = self.spec
-        prev = -1
-        for idx, el in self.entries:
-            if not 0 <= idx < self.length:
-                raise ValueError(f"index {idx} out of range for length {self.length}")
-            if idx <= prev:
-                raise ValueError("entries must be strictly increasing by index")
-            if el.spec is not spec and el.spec != spec:
-                raise ValueError("entry from a different field")
-            if not el:
-                raise ValueError("explicit zero entry")
-            prev = idx
+        object.__setattr__(self, "_cells", _checked_cells(self.spec, self.entries, self.length))
+
+    @classmethod
+    def _trusted(cls, spec: FieldSpec, length: int, cells: dict[int, Raw]) -> "Vector":
+        """The vector of ``cells``, which pass the public checks, indices ascending."""
+        v = object.__new__(cls)
+        v.__dict__.update(spec=spec, length=length, _cells=cells)
+        return v
+
+    def _boxed(self) -> tuple[tuple[int, FieldElement], ...]:
+        spec, box = self.spec, FieldElement._canonical
+        return tuple((i, box(spec, v)) for i, v in self._cells.items())
 
     @classmethod
     def from_pairs(cls, spec: FieldSpec, length: int,
                    pairs: Iterable[tuple[int, Scalarish]]) -> "Vector":
         cells: dict[int, Raw] = {}
         for idx, val in pairs:
+            if not (_is_index(idx) and 0 <= idx < length):
+                raise ValueError(f"index {idx!r} is not in range({length})")
             if idx in cells:
                 raise ValueError(f"duplicate index {idx}")
             cells[idx] = spec.coerce(val)
-        box = FieldElement._canonical
-        ent = tuple((i, box(spec, v)) for i, v in sorted(cells.items()) if v != 0)
-        return cls(spec, length, ent)
+        return cls._trusted(spec, length, {i: v for i, v in sorted(cells.items()) if v != 0})
 
     @classmethod
     def from_dense(cls, spec: FieldSpec, values: Sequence[Scalarish]) -> "Vector":
@@ -71,48 +111,42 @@ class Vector:
 
     @classmethod
     def zero(cls, spec: FieldSpec, length: int) -> "Vector":
-        return cls(spec, length, ())
+        return cls._trusted(spec, length, {})
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._cells
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.entries)
+        return frozenset(self._cells)
 
     def get(self, idx: int) -> FieldElement:
         if not 0 <= idx < self.length:
             raise IndexError(idx)
-        for i, el in self.entries:
-            if i == idx:
-                return el
-        return FieldElement(self.spec, self.spec.zero)
+        return FieldElement._canonical(self.spec, self._cells.get(idx, self.spec.zero))
 
     def to_dense(self) -> list[FieldElement]:
-        out = [FieldElement(self.spec, self.spec.zero)] * self.length
-        for i, el in self.entries:
-            out[i] = el
-        return out
+        return [self.get(i) for i in range(self.length)]
 
     def raw_cells(self) -> dict[int, Raw]:
-        return {i: el.value for i, el in self.entries}
+        return dict(self._cells)
 
     def dot(self, other: "Vector") -> FieldElement:
         if other.spec != self.spec or other.length != self.length:
             raise ValueError("dot product needs matching field and length")
-        product = _row_products(self.spec, [self.raw_cells()], other.raw_cells())
-        return FieldElement(self.spec, product.get(0, self.spec.zero))
+        product = _row_products(self.spec, [self._cells], other._cells)
+        return FieldElement._canonical(self.spec, product.get(0, self.spec.zero))
 
     def scaled(self, factor: Scalarish) -> "Vector":
         f = self.spec.coerce(factor)
         return Vector.from_pairs(self.spec, self.length,
-                                 ((i, self.spec.mul(f, el.value)) for i, el in self.entries))
+                                 ((i, self.spec.mul(f, v)) for i, v in self._cells.items()))
 
     def __str__(self) -> str:
-        out = [self.spec.render_raw(self.spec.zero)] * self.length
-        for i, el in self.entries:
-            out[i] = str(el)
+        out = [str(self.spec.zero)] * self.length
+        for i, v in self._cells.items():
+            out[i] = str(v)
         return " ".join(out)
 
 
@@ -159,27 +193,16 @@ class SparseMatrix:
     num_rows: int
     num_cols: int
     rows: tuple[tuple[tuple[int, FieldElement], ...], ...]
+    _VIEW = "rows"
+    __getattr__ = _box_view
 
     def __post_init__(self) -> None:
         if self.num_rows < 0 or self.num_cols < 0:
             raise ValueError("negative dimension")
         if len(self.rows) != self.num_rows:
             raise ValueError("row count does not match num_rows")
-        spec, num_cols = self.spec, self.num_cols
-        for row in self.rows:
-            prev = -1
-            for col, el in row:
-                if not 0 <= col < num_cols:
-                    raise ValueError(f"column {col} out of range")
-                if col <= prev:
-                    raise ValueError("row entries must be strictly increasing by column")
-                if el.spec is not spec and el.spec != spec:
-                    raise ValueError("entry from a different field")
-                if not el:
-                    raise ValueError("explicit zero entry")
-                prev = col
         object.__setattr__(self, "_cells", tuple(
-            {col: el.value for col, el in row} or _EMPTY_ROW for row in self.rows))
+            _checked_cells(self.spec, row, self.num_cols) or _EMPTY_ROW for row in self.rows))
 
     @classmethod
     def _trusted(cls, spec: FieldSpec, num_rows: int, num_cols: int,
@@ -199,15 +222,7 @@ class SparseMatrix:
         m.__dict__.update(spec=spec, num_rows=num_rows, num_cols=num_cols, _cells=tuple(rows))
         return m
 
-    def __getattr__(self, name: str):
-        # Only ``rows`` can be missing, on a trusted matrix: box it once.
-        if name != "rows":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows = self._boxed_rows()
-        object.__setattr__(self, "rows", rows)
-        return rows
-
-    def _boxed_rows(self) -> tuple[tuple[tuple[int, FieldElement], ...], ...]:
+    def _boxed(self) -> tuple[tuple[tuple[int, FieldElement], ...], ...]:
         """The ``rows`` view.  Each stored raw object is boxed once, so entries
         that share a raw value (equal tokens of one file) share an element."""
         spec, box = self.spec, FieldElement._canonical
@@ -242,16 +257,13 @@ class SparseMatrix:
                 (i, j, v) for (i, j), v in entries.items())
         else:
             items = entries
-        per_row: dict[int, dict[int, Raw]] = {}
+        per_row: dict[int, list[tuple[int, Scalarish]]] = {}
         for i, j, v in items:
-            if not (0 <= i < num_rows and 0 <= j < num_cols):
-                raise ValueError(f"entry ({i}, {j}) out of range")
-            cells = per_row.setdefault(i, {})
-            if j in cells:
-                raise ValueError(f"duplicate entry at ({i}, {j})")
-            cells[j] = spec.coerce(v)
+            if not (_is_index(i) and 0 <= i < num_rows):
+                raise ValueError(f"row {i!r} is not in range({num_rows})")
+            per_row.setdefault(i, []).append((j, v))
         return cls._trusted(spec, num_rows, num_cols, {
-            i: {j: v for j, v in sorted(cells.items()) if v != 0} for i, cells in per_row.items()})
+            i: Vector.from_pairs(spec, num_cols, pairs)._cells for i, pairs in per_row.items()})
 
     @classmethod
     def from_dense(cls, spec: FieldSpec, grid: Sequence[Sequence[Scalarish]],
@@ -286,10 +298,8 @@ class SparseMatrix:
     def column(self, j: int) -> Vector:
         if not 0 <= j < self.num_cols:
             raise IndexError(j)
-        spec, box = self.spec, FieldElement._canonical
-        return Vector(spec, self.num_rows, tuple(
-            (i, box(spec, v)) for i, row in enumerate(self._cells)
-            if (v := row.get(j)) is not None))
+        return Vector._trusted(self.spec, self.num_rows, {
+            i: v for i, row in enumerate(self._cells) if (v := row.get(j)) is not None})
 
     def transpose(self) -> "SparseMatrix":
         # Nonempty rows are visited in index order, so each column comes out sorted.
@@ -328,16 +338,15 @@ class SparseMatrix:
         """A @ v for a column vector over the columns."""
         if v.spec != self.spec or v.length != self.num_cols:
             raise ValueError("vector does not match the matrix columns")
-        spec, box = self.spec, FieldElement._canonical
-        return Vector(spec, self.num_rows, tuple(
-            (i, box(spec, w)) for i, w in _row_products(spec, self._cells, v.raw_cells()).items()))
+        return Vector._trusted(self.spec, self.num_rows,
+                               _row_products(self.spec, self._cells, v._cells))
 
     def combine_rows(self, y: Vector) -> Vector:
         """y^T A as a vector over the columns."""
         if y.spec != self.spec or y.length != self.num_rows:
             raise ValueError("vector does not match the matrix rows")
         spec, p, rows = self.spec, self.spec.modulus, self._cells
-        ys, d = (y.raw_cells(), 1) if p is not None else common_denominator(y.raw_cells())
+        ys, d = (y._cells, 1) if p is not None else common_denominator(y._cells)
         # Over Q the rows used are scaled to integers by one lcm.
         den = 1 if p is not None else lcm(*[a.denominator for i in ys for a in rows[i].values()])
         acc: dict[int, int] = {}
@@ -349,11 +358,7 @@ class SparseMatrix:
             (j, w % p if p is not None else Fraction(w, den * d)) for j, w in acc.items()))
 
     def to_dense(self) -> list[list[FieldElement]]:
-        zero = FieldElement(self.spec, self.spec.zero)
-        grid = [[zero] * self.num_cols for _ in range(self.num_rows)]
-        for i, j, el in self.nonzeros():
-            grid[i][j] = el
-        return grid
+        return [Vector._trusted(self.spec, self.num_cols, row).to_dense() for row in self._cells]
 
 
 @dataclass(frozen=True)
@@ -391,7 +396,7 @@ def _feed_all(matrix: SparseMatrix, rhs: Vector | None) -> tuple[Eliminator, boo
     free-variables-zero solution do not depend on row order; no trail is
     kept, since a refutation is read off the transpose (``_refutation``)."""
     elim = Eliminator(matrix.spec, track=False)
-    rhs_cells = rhs.raw_cells() if rhs is not None else {}
+    rhs_cells = rhs._cells if rhs is not None else {}
     rows, zero = matrix._cells, matrix.spec.zero
     # 0 = 0 rows leave the echelon form as it is, so they are never fed.
     order = [i for i in rhs_cells if not rows[i]] + sorted(
@@ -474,7 +479,7 @@ def _refutation(matrix: SparseMatrix, rhs: Vector) -> UnsolvabilityCertificate |
     ``kernel_vector(k)`` uses only the pivots below k."""
     elim, _ = _feed_all(matrix.transpose(), None)
     before = elim.rank
-    elim.feed(rhs.raw_cells(), matrix.spec.zero)
+    elim.feed(rhs._cells, matrix.spec.zero)
     if elim.rank == before:
         return None
     y = elim.kernel_vector(next(reversed(elim.pivots)))     # b's lead is the newest pivot
@@ -497,7 +502,7 @@ def solve(matrix: SparseMatrix, rhs: Vector) -> Vector | UnsolvabilityCertificat
     x = elim.solution()
     # Raw cells on both sides: a row where either side is zero is a key of
     # one dict only, so every row is compared.
-    if _row_products(matrix.spec, matrix._cells, x) != rhs.raw_cells():
+    if _row_products(matrix.spec, matrix._cells, x) != rhs._cells:
         raise AssertionError("solution failed verification")
     return Vector.from_pairs(matrix.spec, matrix.num_cols, x.items())
 

@@ -14,7 +14,8 @@ from typing import Iterable, Union
 
 from .elimination import Eliminator
 from .field import FieldElement, FieldSpec, Raw
-from .linalg import SparseMatrix, UnsolvabilityCertificate, Vector, _row_products, _self_check
+from .linalg import (SparseMatrix, UnsolvabilityCertificate, Vector, _is_index, _row_products,
+                     _self_check)
 
 __all__ = ["AllPrefixesSolvable", "UnsolvableAt", "StreamStatus", "StreamState"]
 
@@ -58,7 +59,7 @@ class StreamState:
         cells: dict[int, Raw] = {}
         top = self.num_cols
         for col, el in row:
-            if not isinstance(col, int) or isinstance(col, bool) or col < 0:
+            if not _is_index(col) or col < 0:
                 raise ValueError(f"bad column index {col!r}")
             if col in cells:
                 raise ValueError(f"duplicate column {col}")
