@@ -8,7 +8,6 @@ loudly), and a nontrivial kernel is reported with a verified kernel vector.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -110,14 +109,9 @@ def certify_columns(matrix: SparseMatrix, via_violator: bool = False) -> Certifi
         graph = support_graph(matrix)
         violator = hall_violator(graph)
         if violator is not None:
-            rows = sorted(graph.neighbourhood(violator))
             cols = sorted(violator)
-            # Rows of N(J0) only; a column's position is its rank in J0.
-            local = _first_kernel_vector(SparseMatrix._trusted(
-                matrix.spec, len(rows), len(cols),
-                {pos: {bisect_left(cols, j): v for j, v in matrix._cells[i].items()
-                       if j in violator}
-                 for pos, i in enumerate(rows)}))
+            local = _first_kernel_vector(
+                matrix.submatrix(sorted(graph.neighbourhood(violator)), cols))
             if local is None:
                 raise AssertionError("violator submatrix has fewer rows than columns "
                                      "yet a trivial kernel")

@@ -2,11 +2,12 @@
 
 Rows arrive one at a time as sparse {column: raw value} dicts.  A tracking
 eliminator, which only ``StreamState`` builds, keeps for each pivot row the
-trail of its reduction: the pivot columns it was reduced by and their
-integer multipliers, with its own row index, coefficient and divisor (the L
-factor).  A row that vanishes with a nonzero right-hand side expands its
-trail once into the refutation combination of original rows.  ``linalg``
-keeps no trail: it reads a refutation off a kernel vector of the transpose.
+trail of its reduction (the L factor): its own row index, the pivot columns
+it was reduced by with their field-valued multipliers, and one scale, so
+that the stored row is ``scale * (row own - sum of combo[c] * pivot row c)``.
+A row that vanishes with a nonzero right-hand side expands its trail once
+into the refutation combination of original rows.  ``linalg`` keeps no
+trail: it reads a refutation off a kernel vector of the transpose.
 Elimination is forward only: a row is reduced while its lowest column has a
 pivot, and the first column without one leads it; pivot columns above the
 lead are left for back-substitution and ``reduced_pivots``.  Pivot columns
@@ -20,16 +21,15 @@ Over GF(p) a pivot row is scaled to a unit lead when registered, so ``a`` is
 one and the step is taken mod p.  Over Q a row is cleared of denominators and
 divided after each step by the gcd of row and right-hand side; a pivot row
 keeps a positive integer lead.  The trail does not enter that gcd, so a
-tracked pivot row equals an untracked one: a step records ``b`` times the
-divisor so far, and its ``a`` is folded into the earlier multipliers once,
-when the row is stored or vanishes.  Every pivot row is proportional to its
-unit-lead form, so pivot columns, ``solution`` and ``reduced_pivots`` (which
-divide by the lead) and refutations (scaled to coefficient one on the row
-fed) equal those of unit-lead elimination.  Back-substitution,
-``reduced_pivots`` and the expansion of a trail stay on integers too: a
-vector is integer numerators over one common denominator, and a reduced row
-is divided by its lead once, as it is emitted; ``Fraction``s are built only
-for the result.
+tracked pivot row equals an untracked one; over Q its multipliers and scale
+are ``Fraction``s, built only when tracking.  Every pivot row is
+proportional to its unit-lead form, so pivot columns, ``solution`` and
+``reduced_pivots`` (which divide by the lead) and refutations (scaled to
+coefficient one on the row fed) equal those of unit-lead elimination.
+Back-substitution and ``reduced_pivots`` stay on integers too: a vector is
+integer numerators over one common denominator, and a reduced row is divided
+by its lead once, as it is emitted; ``Fraction``s are built only for the
+result.
 """
 
 from __future__ import annotations
@@ -48,21 +48,20 @@ def _divided(row: dict[int, int], rhs: int, g: int) -> tuple[dict[int, int], int
 
 
 class ReducedRow:
-    __slots__ = ("cells", "rhs", "combo", "own", "num", "div")
+    __slots__ = ("cells", "rhs", "combo", "own", "scale")
 
-    def __init__(self, cells: dict[int, Raw], rhs: Raw, combo: dict[int, int],
-                 own: int, num: int, div: int):
+    def __init__(self, cells: dict[int, Raw], rhs: Raw, combo: dict[int, Raw],
+                 own: int, scale: Raw):
         # column -> value; the pivot column min(cells) holds one over GF(p),
         # a positive integer lead over Q (where every value is an int)
         self.cells = cells
         self.rhs = rhs
-        # The trail, {} untracked: pivot column c -> integer multiplier.  The
-        # row is (num * row ``own`` - sum of combo[c] * pivot row c) / div;
-        # over GF(p) num is one and ``div`` holds the inverse of the divisor.
+        # The trail, {} untracked: pivot column c -> multiplier, a raw field
+        # value.  The row is scale * (row ``own`` - sum of combo[c] * pivot
+        # row c).
         self.combo = combo
         self.own = own
-        self.num = num
-        self.div = div
+        self.scale = scale
 
 
 class Eliminator:
@@ -77,8 +76,7 @@ class Eliminator:
     def __init__(self, spec: FieldSpec, track: bool = True):
         self.spec = spec
         self.pivots: dict[int, ReducedRow] = {}
-        # provenance index of the next row; a caller skipping rows may set it
-        self.rows_seen = 0
+        self.rows_seen = 0      # provenance index of the next row
         self.track = track
 
     @property
@@ -100,18 +98,18 @@ class Eliminator:
         track = self.track
         k = self.rows_seen
         self.rows_seen = k + 1
-        # The row equals (num * row k - sum of trail[c] * pivot row c) / div,
-        # but over Q each trail[c] still lacks the factors ``a`` of later steps.
-        trail: dict[int, int] = {}
-        scales: list[int] = []
-        num = div = 1
+        # The row equals s * (row k - sum of trail[c] * pivot row c).
+        trail: dict[int, Raw] = {}
+        s = 1
         if p is None:
-            num = lcm(rhs.denominator, *[v.denominator for v in cells.values()])
-            row = {c: n for c, v in cells.items() if (n := v.numerator * (num // v.denominator))}
-            rhs = rhs.numerator * (num // rhs.denominator)
-            div = gcd(*row.values(), rhs)
-            if div > 1:
-                row, rhs = _divided(row, rhs, div)
+            m = lcm(rhs.denominator, *[v.denominator for v in cells.values()])
+            row = {c: n for c, v in cells.items() if (n := v.numerator * (m // v.denominator))}
+            rhs = rhs.numerator * (m // rhs.denominator)
+            g = gcd(*row.values(), rhs) or 1
+            if g > 1:
+                row, rhs = _divided(row, rhs, g)
+            if track:
+                s = Fraction(m, g)
         else:
             row = {c: v for c, v in cells.items() if v != 0}
         # Min-heap of the row's columns, pushed as they enter the row; an entry
@@ -151,71 +149,53 @@ class Eliminator:
                     else:
                         del row[c]
             rhs = rhs - b * piv.rhs if p is None else (rhs - b * piv.rhs) % p
-            if track:
-                trail[hit] = b * div
-                if p is None:
-                    scales.append(a)
             if p is None:
-                g = gcd(*row.values(), rhs)
+                g = gcd(*row.values(), rhs) or 1
                 if g > 1:
                     row, rhs = _divided(row, rhs, g)
-                    if track:
-                        div *= g
-        if scales:      # fold each step's later factors a into its multiplier
-            m = 1
-            for c, a in zip(reversed(trail), reversed(scales)):
-                trail[c] *= m
-                m *= a
-            num *= m
+                if track:
+                    trail[hit] = b / (a * s)
+                    s = s * a / g
+            elif track:
+                trail[hit] = b
         if row:         # the loop stopped at the lead column ``hit``, of value b
             if p is None:
                 if b < 0:
                     row, rhs = _divided(row, rhs, -1)
-                    div = -div
+                    s = -s
             elif b != 1:
-                div = self.spec.inv(b)
-                row = {c: div * v % p for c, v in row.items()}
-                rhs = div * rhs % p
-            pivots[hit] = ReducedRow(row, rhs, trail, k, num, div)
+                s = self.spec.inv(b)
+                row = {c: s * v % p for c, v in row.items()}
+                rhs = s * rhs % p
+            pivots[hit] = ReducedRow(row, rhs, trail, k, s)
             return None
         if rhs == 0:
             return None
-        return self._expand(k, trail, num) if track else {}
+        return self._expand(k, trail) if track else {}
 
-    def _expand(self, k: int, trail: dict[int, int], d: int) -> dict[int, Raw]:
-        """The combination of row ``k`` minus trail[c] / d times the
-        combination of pivot row c, as {row index: coefficient}.
+    def _expand(self, k: int, trail: dict[int, Raw]) -> dict[int, Raw]:
+        """The combination of row ``k`` minus trail[c] times the combination
+        of pivot row c, as {row index: coefficient}.
 
         A sparse triangular solve: the pivots reached are visited from the
         highest column down, since a trail names only pivot columns below
         its lead, so a pivot's weight is complete when it is visited.  Each
-        pivot contributes to its own row alone.  Over Q the weights and the
-        result are integers over one common denominator ``d``, widened (and
-        they rescaled) only when a pivot's divisor does not divide its
-        weight; ``Fraction``s are built only for the result."""
+        pivot contributes to its own row alone."""
         p = self.spec.modulus
         pivots = self.pivots
         weights = {c: -b for c, b in trail.items()}
         heap = [-c for c in weights]
         heapify(heap)
-        out = {k: 1 if p is not None else d}
+        out = {k: self.spec.one}
         while heap:
             c = -heappop(heap)
-            y, r = weights.pop(c), pivots[c]
+            r = pivots[c]
+            y = weights.pop(c) * r.scale
             if p is not None:
-                if not (y := y * r.div % p):
-                    continue
-                out[r.own] = y      # a GF(p) pivot has num one
-            else:
-                if not y:
-                    continue
-                m = abs(r.div) // gcd(y, r.div)
-                if m != 1:
-                    weights = {i: m * v for i, v in weights.items()}
-                    out = {i: m * v for i, v in out.items()}
-                    y, d = m * y, m * d
-                y //= r.div
-                out[r.own] = y * r.num
+                y %= p
+            if not y:
+                continue
+            out[r.own] = y
             for cc, b in r.combo.items():
                 w = weights.get(cc)
                 if w is None:
@@ -223,7 +203,7 @@ class Eliminator:
                     heappush(heap, -cc)
                 else:
                     weights[cc] = w - y * b
-        return out if p is not None else {i: Fraction(v, d) for i, v in out.items()}
+        return out
 
     def solution(self) -> dict[int, Raw]:
         """Back-substitute a solution with every free variable set to zero."""

@@ -122,7 +122,7 @@ class Vector:
         return frozenset(self._cells)
 
     def get(self, idx: int) -> FieldElement:
-        if not 0 <= idx < self.length:
+        if not (_is_index(idx) and 0 <= idx < self.length):
             raise IndexError(idx)
         return FieldElement._canonical(self.spec, self._cells.get(idx, self.spec.zero))
 
@@ -280,7 +280,8 @@ class SparseMatrix:
         return sum(map(len, self._cells))
 
     def entry(self, i: int, j: int) -> FieldElement:
-        if not (0 <= i < self.num_rows and 0 <= j < self.num_cols):
+        if not (_is_index(i) and _is_index(j) and 0 <= i < self.num_rows
+                and 0 <= j < self.num_cols):
             raise IndexError((i, j))
         return FieldElement._canonical(self.spec, self._cells[i].get(j, self.spec.zero))
 
@@ -291,12 +292,12 @@ class SparseMatrix:
                 yield i, j, box(spec, v)
 
     def raw_row(self, i: int) -> dict[int, Raw]:
-        if not 0 <= i < self.num_rows:
+        if not (_is_index(i) and 0 <= i < self.num_rows):
             raise IndexError(i)
         return dict(self._cells[i])
 
     def column(self, j: int) -> Vector:
-        if not 0 <= j < self.num_cols:
+        if not (_is_index(j) and 0 <= j < self.num_cols):
             raise IndexError(j)
         return Vector._trusted(self.spec, self.num_rows, {
             i: v for i, row in enumerate(self._cells) if (v := row.get(j)) is not None})
@@ -317,7 +318,7 @@ class SparseMatrix:
         """Restriction to the given original rows and columns, reindexed densely."""
         col_pos = {}
         for pos, j in enumerate(col_ids):
-            if not 0 <= j < self.num_cols:
+            if not (_is_index(j) and 0 <= j < self.num_cols):
                 raise IndexError(j)
             if j in col_pos:
                 raise ValueError(f"duplicate column {j}")
@@ -325,7 +326,7 @@ class SparseMatrix:
         seen_rows = set()
         per_row = {}
         for pos, i in enumerate(row_ids):
-            if not 0 <= i < self.num_rows:
+            if not (_is_index(i) and 0 <= i < self.num_rows):
                 raise IndexError(i)
             if i in seen_rows:
                 raise ValueError(f"duplicate row {i}")

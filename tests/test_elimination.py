@@ -7,7 +7,8 @@ from math import gcd
 import pytest
 
 import gen
-from thincert import AllPrefixesSolvable, FieldSpec, StreamState, UnsolvableAt
+from thincert import (AllPrefixesSolvable, FieldSpec, SparseMatrix, StreamState, UnsolvableAt,
+                      Vector, unsolvable_core)
 from thincert.elimination import Eliminator
 
 QQ = FieldSpec.rationals()
@@ -133,16 +134,14 @@ def unit_lead(spec, r, c):
 
 def expanded(spec, elim, c, memo):
     """The combination of original rows that the stored pivot row at ``c``
-    is: (num * row ``own`` - sum of trail[cc] * pivot row cc) / div, where
-    over GF(p) ``div`` holds the inverse of the divisor."""
+    is: scale * (row ``own`` - sum of trail[cc] * pivot row cc)."""
     if c not in memo:
         r = elim.pivots[c]
-        combo = {r.own: spec.coerce(r.num)}
+        combo = {r.own: spec.one}
         for cc, b in r.combo.items():
             for i, y in expanded(spec, elim, cc, memo).items():
-                combo[i] = spec.sub(combo.get(i, spec.zero), spec.mul(spec.coerce(b), y))
-        factor = spec.coerce(r.div) if spec.is_prime_field else Fraction(1, r.div)
-        memo[c] = {i: spec.mul(factor, y) for i, y in combo.items() if y != 0}
+                combo[i] = spec.sub(combo.get(i, spec.zero), spec.mul(b, y))
+        memo[c] = {i: spec.mul(r.scale, y) for i, y in combo.items() if y != 0}
     return memo[c]
 
 
@@ -313,10 +312,11 @@ def test_rational_rhs_alone_carries_a_denominator():
     assert elim.feed(*rows[0]) is None
     assert elim.feed(*rows[1]) is None
     # 3 * row 0 clears the rhs denominator; the lead then turns positive,
-    # so the stored row is 3 * row 0 / -1, with an empty trail
+    # so the stored row is -3 * row 0, with an empty trail
     piv = elim.pivots[0]
     assert (piv.cells, piv.rhs, piv.combo) == ({0: 6, 1: -12}, -1, {})
-    assert (piv.own, piv.num, piv.div) == (0, 3, -1)
+    assert (piv.own, piv.scale) == (0, -3)
+    assert type(piv.scale) is Fraction
     refutation = elim.feed(*rows[2])
     assert refutation == {0: half, 2: Fraction(1)}
     assert all(type(y) is Fraction for y in refutation.values())
@@ -381,6 +381,57 @@ def test_deep_trail_stream_latches_like_reference_replay():
                 expect = UnsolvableAt(k + 1, frozenset(combo))
         assert st.status == expect
     assert expect.prefix_len == n + 151 and len(expect.core) > n // 2
+
+
+@pytest.mark.parametrize("spec", [GF2, GF5, GFP, QQ], ids=str)
+def test_stream_core_equals_unsolvable_core_of_its_prefix(spec):
+    """The core a stream latches with, expanded from its trails, is the
+    support of ``unsolvable_core`` on the prefix it latched at, read off an
+    elimination of the transpose instead."""
+    rng = random.Random(f"core/{spec.modulus}")
+    streams = [[(dict(pairs), rhs) for pairs, rhs in gen.random_stream(spec, rng)[1]]
+               for _ in range(150)]
+    if spec is QQ:
+        streams += [big_rows(rng, rng.randint(2, 14), rng.randint(1, 9)) for _ in range(50)]
+    latched = 0
+    for rows in streams:
+        st = StreamState(spec)
+        for cells, rhs in rows:
+            st.push(cells.items(), rhs)
+            if not st.is_solvable:
+                break
+        if st.is_solvable:
+            continue
+        latched += 1
+        n = st.num_rows
+        m = SparseMatrix.from_entries(spec, n, st.num_cols, [
+            (i, c, v) for i, (cells, _) in enumerate(rows[:n]) for c, v in cells.items()])
+        b = Vector.from_pairs(spec, n, [(i, rhs) for i, (_, rhs) in enumerate(rows[:n])])
+        assert st.status.core == unsolvable_core(m, b)
+    assert latched >= 40
+
+
+def test_rational_trail_stays_small():
+    """On a seeded 300 x 300 rational system, about four entries a row with
+    numerators in +-1..9 and some halves and thirds, pushed as a stream with
+    a right-hand side it refutes at prefix 294, every multiplier and scale
+    of every trail stays under 2,000 bits: one scale per row keeps each
+    multiplier reduced, where one integer divisor per row reached 30,000."""
+    n, rng = 300, random.Random(20261019)
+    rows = [{j: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1] * 6 + [2, 3]))
+             for j in sorted(rng.sample(range(n), 4))} for _ in range(n)]
+    b = [Fraction(rng.randint(1, 9)) for _ in range(n)]
+    st = StreamState(QQ)
+    for cells, rhs in zip(rows, b):
+        st.push(cells.items(), rhs)
+    assert st.status.prefix_len == 294
+
+    def bits(v):
+        return max(v.numerator.bit_length(), v.denominator.bit_length())
+
+    pivots = st._elim.pivots.values()
+    assert sum(len(r.combo) for r in pivots) > 5000
+    assert max(bits(v) for r in pivots for v in (r.scale, *r.combo.values())) < 2000
 
 
 def dot(spec, cells, x):

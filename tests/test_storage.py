@@ -174,6 +174,30 @@ def test_public_inputs_refuse_non_int_indices(build):
         build()
 
 
+_V = Vector.from_pairs(GF5, 3, [(1, 2)])
+
+
+@pytest.mark.parametrize("read", [
+    lambda: _M.entry(True, 1),
+    lambda: _M.entry(0, 1.0),
+    lambda: _M.raw_row(True),
+    lambda: _M.column(True),
+    lambda: _M.column(1.0),
+    lambda: _M.submatrix([True], [0]),
+    lambda: _M.submatrix([1.0], [0]),
+    lambda: _M.submatrix([0], [1.0]),
+    lambda: _V.get(True),
+    lambda: _V.get(1.0),
+], ids=["entry-bool", "entry-float", "raw_row-bool", "column-bool", "column-float",
+        "submatrix-row-bool", "submatrix-row-float", "submatrix-col-float", "get-bool",
+        "get-float"])
+def test_public_accessors_refuse_non_int_indices(read):
+    """An accessor refuses a float or bool index as it does one out of range,
+    instead of reading the entry of the int it equals."""
+    with pytest.raises(IndexError):
+        read()
+
+
 def _matrix_texts(spec, rng):
     """Rendered random matrices; the generators box, so they run first."""
     return [render_matrix((gen.independent_cols_matrix, gen.dependent_cols_matrix,
