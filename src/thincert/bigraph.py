@@ -14,7 +14,8 @@ from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .linalg import SparseMatrix, _is_index, _self_check
+from .field import _is_index
+from .linalg import SparseMatrix, _self_check
 
 if TYPE_CHECKING:
     from .strings import SaturatedString

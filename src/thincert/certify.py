@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .bigraph import Matching, SupportGraph, hall_violator, max_matching, support_graph
-from .linalg import SparseMatrix, Vector, _first_kernel_vector, _is_index, _self_check
+from .field import _is_index
+from .linalg import SparseMatrix, Vector, _first_kernel_vector, _self_check
 
 __all__ = [
     "Sdr",

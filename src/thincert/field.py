@@ -22,6 +22,12 @@ _SCALAR_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 _new_element = object.__new__
 
 
+def _is_index(x: object) -> bool:
+    """True for an int that is not a bool: ``True == 1``, ``1.0 == 1`` and
+    both hash alike, so either would pass every lookup as the index 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def common_denominator(cells: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
     """Integer numerators ``n`` and one positive ``d`` with ``cells == n / d``,
     ``d`` the lcm of the denominators: rational sums then stay on ``int``."""
@@ -72,6 +78,8 @@ class FieldSpec:
 
     def __init__(self, modulus: int | None = None):
         if modulus is not None:
+            if not _is_index(modulus):
+                raise ValueError(f"modulus {modulus!r} is not an int")
             if modulus >= MODULUS_BOUND:
                 raise ValueError(f"modulus {modulus} is too large: primality is "
                                  f"only decided below {MODULUS_BOUND}")

@@ -35,40 +35,35 @@ def parse_matrix(text: str) -> SparseMatrix:
     share its raw value; the matrix is built from these raw rows unchecked,
     since every check of the public constructor has been made here.
     """
-    spec: FieldSpec | None = None
-    dims: tuple[int, int] | None = None
     lines = enumerate(text.splitlines(), start=1)
-    for lineno, raw_line in lines:
-        parts = raw_line.split("#", 1)[0].split()
-        if not parts:
-            continue
-        if spec is None:
-            if parts[0] != "field":
-                _fail(lineno, "expected a 'field ...' header")
-            if parts[1:] == ["rational"]:
-                spec = FieldSpec.rationals()
-            elif len(parts) == 3 and parts[1] == "gf":
-                try:
-                    spec = FieldSpec.gf(int(parts[2]))
-                except ValueError as exc:
-                    _fail(lineno, str(exc))
-            else:
-                _fail(lineno, f"unknown field {' '.join(parts[1:])!r}")
-            continue
-        if len(parts) != 2:
-            _fail(lineno, "expected '<rows> <cols>'")
-        try:
-            dims = int(parts[0]), int(parts[1])
-        except ValueError:
-            _fail(lineno, "dimensions must be integers")
-        if dims[0] < 0 or dims[1] < 0:
-            _fail(lineno, "dimensions must be nonnegative")
-        break
-    if spec is None:
+    # The header and dimension lines are the first two content lines; the
+    # entries are read on from the same numbered lines.
+    content = ((n, parts) for n, line in lines if (parts := line.split("#", 1)[0].split()))
+    lineno, parts = next(content, (0, None))
+    if parts is None:
         raise MatrixFormatError("missing 'field ...' header")
-    if dims is None:
+    if parts[0] != "field":
+        _fail(lineno, "expected a 'field ...' header")
+    if parts[1:] == ["rational"]:
+        spec = FieldSpec.rationals()
+    elif len(parts) == 3 and parts[1] == "gf":
+        try:
+            spec = FieldSpec.gf(int(parts[2]))
+        except ValueError as exc:
+            _fail(lineno, str(exc))
+    else:
+        _fail(lineno, f"unknown field {' '.join(parts[1:])!r}")
+    lineno, parts = next(content, (0, None))
+    if parts is None:
         raise MatrixFormatError("missing dimension line")
-    nr, nc = dims
+    if len(parts) != 2:
+        _fail(lineno, "expected '<rows> <cols>'")
+    try:
+        nr, nc = int(parts[0]), int(parts[1])
+    except ValueError:
+        _fail(lineno, "dimensions must be integers")
+    if nr < 0 or nc < 0:
+        _fail(lineno, "dimensions must be nonnegative")
     per_row: dict[int, dict[int, Raw]] = {}
     values: dict[str, Raw] = {}
     parse_raw = spec.parse_raw

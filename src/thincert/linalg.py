@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .elimination import Eliminator
-from .field import FieldElement, FieldSpec, Raw, common_denominator
+from .field import FieldElement, FieldSpec, Raw, _is_index, common_denominator
 
 __all__ = [
     "Vector",
@@ -41,10 +41,12 @@ def _box_view(self, name: str):
     return view
 
 
-def _is_index(x: object) -> bool:
-    """True for an int that is not a bool: ``True == 1``, ``1.0 == 1`` and
-    both hash alike, so either would pass every lookup as the index 1."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def _check_sizes(*sizes: object) -> None:
+    """Refuse a dimension or length that is not a nonnegative int (a bool
+    or a float is refused as an index is)."""
+    for n in sizes:
+        if not (_is_index(n) and n >= 0):
+            raise ValueError(f"size {n!r} is not a nonnegative int")
 
 
 def _checked_cells(spec: FieldSpec, pairs: Iterable[tuple[int, FieldElement]],
@@ -80,6 +82,7 @@ class Vector:
     __getattr__ = _box_view
 
     def __post_init__(self) -> None:
+        _check_sizes(self.length)
         object.__setattr__(self, "_cells", _checked_cells(self.spec, self.entries, self.length))
 
     @classmethod
@@ -96,6 +99,7 @@ class Vector:
     @classmethod
     def from_pairs(cls, spec: FieldSpec, length: int,
                    pairs: Iterable[tuple[int, Scalarish]]) -> "Vector":
+        _check_sizes(length)
         cells: dict[int, Raw] = {}
         for idx, val in pairs:
             if not (_is_index(idx) and 0 <= idx < length):
@@ -111,6 +115,7 @@ class Vector:
 
     @classmethod
     def zero(cls, spec: FieldSpec, length: int) -> "Vector":
+        _check_sizes(length)
         return cls._trusted(spec, length, {})
 
     @property
@@ -197,8 +202,7 @@ class SparseMatrix:
     __getattr__ = _box_view
 
     def __post_init__(self) -> None:
-        if self.num_rows < 0 or self.num_cols < 0:
-            raise ValueError("negative dimension")
+        _check_sizes(self.num_rows, self.num_cols)
         if len(self.rows) != self.num_rows:
             raise ValueError("row count does not match num_rows")
         object.__setattr__(self, "_cells", tuple(
@@ -252,6 +256,7 @@ class SparseMatrix:
     def from_entries(cls, spec: FieldSpec, num_rows: int, num_cols: int,
                      entries: Mapping[tuple[int, int], Scalarish]
                      | Iterable[tuple[int, int, Scalarish]]) -> "SparseMatrix":
+        _check_sizes(num_rows, num_cols)
         if isinstance(entries, Mapping):
             items: Iterable[tuple[int, int, Scalarish]] = (
                 (i, j, v) for (i, j), v in entries.items())
@@ -488,6 +493,14 @@ def _refutation(matrix: SparseMatrix, rhs: Vector) -> UnsolvabilityCertificate |
                        matrix, rhs, _normalized(matrix.spec, matrix.num_rows, y))
 
 
+def _verified_solution(matrix: SparseMatrix, rhs: Vector, x: dict[int, Raw]) -> Vector:
+    """The raw solution ``x`` of A x = b as a vector, once A x equals b in
+    every row, those with a zero b_i included."""
+    if _row_products(matrix.spec, matrix._cells, x) != rhs._cells:
+        raise AssertionError("solution failed verification")
+    return Vector.from_pairs(matrix.spec, matrix.num_cols, x.items())
+
+
 def solve(matrix: SparseMatrix, rhs: Vector) -> Vector | UnsolvabilityCertificate:
     """Solve A x = b exactly, or certify that no solution exists.
 
@@ -500,12 +513,7 @@ def solve(matrix: SparseMatrix, rhs: Vector) -> Vector | UnsolvabilityCertificat
     elim, refuted = _feed_all(matrix, rhs)
     if refuted:
         return _refutation(matrix, rhs)
-    x = elim.solution()
-    # Raw cells on both sides: a row where either side is zero is a key of
-    # one dict only, so every row is compared.
-    if _row_products(matrix.spec, matrix._cells, x) != rhs._cells:
-        raise AssertionError("solution failed verification")
-    return Vector.from_pairs(matrix.spec, matrix.num_cols, x.items())
+    return _verified_solution(matrix, rhs, elim.solution())
 
 
 def unsolvable_core(matrix: SparseMatrix, rhs: Vector, minimize: bool = False) -> frozenset[int]:

@@ -1,10 +1,10 @@
 """Incremental consistency checking for equation rows arriving one at a time.
 
 The column universe grows as new column indices appear.  Solvability status
-is monotone: once some prefix is refuted the status latches, though later
-rows are still accepted.  The refutation core comes straight from the
-elimination provenance, and its row combination is checked on the core's
-rows alone before it is stored.
+is monotone: once some prefix is refuted the status latches; later rows are
+still accepted and reduced.  The refutation core comes straight from the
+elimination provenance, its row combination is checked as a certificate of
+the whole prefix, and the stored prefix is then dropped.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .elimination import Eliminator
-from .field import FieldElement, FieldSpec, Raw
-from .linalg import (SparseMatrix, UnsolvabilityCertificate, Vector, _is_index, _row_products,
-                     _self_check)
+from .field import FieldElement, FieldSpec, Raw, _is_index
+from .linalg import (SparseMatrix, UnsolvabilityCertificate, Vector, _self_check,
+                     _verified_solution)
 
 __all__ = ["AllPrefixesSolvable", "UnsolvableAt", "StreamStatus", "StreamState"]
 
@@ -41,14 +41,12 @@ class StreamState:
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
-        self.num_cols = 0
+        self.num_cols = self.num_rows = 0
         self.status: StreamStatus = AllPrefixesSolvable()
         self._elim = Eliminator(spec)
-        self._rows: list[tuple[dict[int, Raw], Raw]] = []
-
-    @property
-    def num_rows(self) -> int:
-        return len(self._rows)
+        # The prefix until the latch: {row: cells in column order}, {row: nonzero rhs}.
+        self._rows: dict[int, dict[int, Raw]] | None = {}
+        self._rhs: dict[int, Raw] | None = {}
 
     @property
     def is_solvable(self) -> bool:
@@ -68,30 +66,32 @@ class StreamState:
         rhs_raw = self.spec.coerce(rhs)
         self.num_cols = top
         cells = {c: v for c, v in cells.items() if v != 0}
-        self._rows.append((cells, rhs_raw))
+        if self.is_solvable:
+            self._rows[self.num_rows] = dict(sorted(cells.items()))
+            if rhs_raw:
+                self._rhs[self.num_rows] = rhs_raw
+        self.num_rows += 1
         combo = self._elim.feed(cells, rhs_raw)
         if combo is not None and self.is_solvable:
             self._verify_core(combo)
-            self.status = UnsolvableAt(len(self._rows), frozenset(combo))
+            self.status = UnsolvableAt(self.num_rows, frozenset(combo))
+            self._rows = self._rhs = None
         return self
 
+    def _system(self) -> tuple[SparseMatrix, Vector]:
+        """The prefix pushed so far as the system A x = b."""
+        return (SparseMatrix._trusted(self.spec, self.num_rows, self.num_cols, self._rows),
+                Vector._trusted(self.spec, self.num_rows, self._rhs))
+
     def _verify_core(self, combo: dict[int, Raw]) -> None:
-        """Check the combination ``combo`` ({row: coefficient}) as an
-        unsolvability certificate of the core's rows alone."""
-        spec, core = self.spec, sorted(combo)
-        rows = [self._rows[i] for i in core]
-        sub = SparseMatrix._trusted(spec, len(core), self.num_cols, {
-            pos: dict(sorted(cells.items())) for pos, (cells, _) in enumerate(rows)})
-        rhs = Vector.from_pairs(spec, len(core), ((pos, b) for pos, (_, b) in enumerate(rows)))
-        y = Vector.from_pairs(spec, len(core), ((pos, combo[i]) for pos, i in enumerate(core)))
-        _self_check(UnsolvabilityCertificate.checked, sub, rhs, y)
+        """Check ``combo`` ({row: coefficient}) as an unsolvability certificate
+        of the whole prefix, as ``unsolvable_core`` checks its own."""
+        a, b = self._system()
+        y = Vector.from_pairs(self.spec, a.num_rows, combo.items())
+        _self_check(UnsolvabilityCertificate.checked, a, b, y)
 
     def solution(self) -> Vector:
         """A solution of everything pushed so far, free variables zero."""
         if not self.is_solvable:
             raise ValueError("stream has an unsolvable prefix")
-        x = self._elim.solution()
-        if _row_products(self.spec, [cells for cells, _ in self._rows], x) != {
-                i: b for i, (_, b) in enumerate(self._rows) if b}:
-            raise AssertionError("stream solution failed verification")
-        return Vector.from_pairs(self.spec, self.num_cols, x.items())
+        return _verified_solution(*self._system(), self._elim.solution())

@@ -16,8 +16,8 @@ from typing import Container, Iterable, Sequence, Union
 
 from .bigraph import SupportGraph, Vertex, support_graph
 from .elimination import Eliminator
-from .field import Raw
-from .linalg import SparseMatrix, Vector, _is_index, _self_check, rank, solve
+from .field import Raw, _is_index
+from .linalg import SparseMatrix, Vector, _self_check, rank, solve
 
 __all__ = [
     "MuValue",

@@ -405,6 +405,12 @@ def test_deficiency_string_rejects_negative_indices():
         deficiency_string(g, [0, 1])
 
 
+def test_deficiency_string_rejects_unknown_columns():
+    g = SupportGraph([0, 1], [0], [(0, 0), (1, 0)])
+    with pytest.raises(ValueError, match="c5 is not a left vertex"):
+        deficiency_string(g, [0, 1, 5])
+
+
 def test_deficiency_string_rejects_non_violators():
     g = SupportGraph([0], [0], [(0, 0)])
     with pytest.raises(ValueError):

@@ -119,6 +119,11 @@ def test_witness_include(matrix_file, capsys):
     assert "mu = 1 = |I'| - rank = 3 - 2" in out
 
 
+def test_witness_include_refuses_a_column(matrix_file, capsys):
+    assert main(["witness", matrix_file(INDEPENDENT), "r0 r1 c0", "--include", "c0"]) == 2
+    assert "--include takes row vertices, got 'c0'" in capsys.readouterr().err
+
+
 def test_witness_dependent_column_is_an_error(matrix_file, capsys):
     assert main(["witness", matrix_file(ALL_ONES), "r0 r1 c0 c1"]) == 2
     err = capsys.readouterr().err

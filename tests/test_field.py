@@ -37,6 +37,13 @@ def test_gf_requires_prime_modulus():
         assert FieldSpec.gf(good).modulus == good
 
 
+@pytest.mark.parametrize("modulus", [5.0, "5", True, Fraction(5)], ids=repr)
+def test_gf_refuses_a_modulus_that_is_not_an_int(modulus):
+    # 5.0 would otherwise equal GF(5) and compute in floats.
+    with pytest.raises(ValueError, match="is not an int"):
+        FieldSpec.gf(modulus)
+
+
 def test_gf_inverse_equals_fermat():
     rng = random.Random(61)
     for p in (2, 5, 1_000_003, 2 ** 61 - 1):

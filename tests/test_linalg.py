@@ -62,6 +62,26 @@ def test_matrix_validation():
         SparseMatrix.from_dense(QQ, [[1, 2], [3]])
 
 
+def test_vector_refuses_an_element_of_another_field():
+    with pytest.raises(ValueError, match="entry from a different field"):
+        Vector(GF5, 2, ((0, GF3.element(1)),))
+
+
+def test_matrix_constructor_refuses_a_wrong_row_count():
+    with pytest.raises(ValueError, match="row count does not match num_rows"):
+        SparseMatrix(GF5, 2, 2, (((0, GF5.element(1)),),))
+
+
+def test_products_refuse_a_mismatched_vector():
+    m = SparseMatrix.from_dense(GF5, [[1, 2, 0], [0, 1, 1]])
+    for bad in (Vector.from_dense(GF5, [1, 1]), Vector.from_dense(GF3, [1, 1, 1])):
+        with pytest.raises(ValueError, match="does not match the matrix columns"):
+            m.mul_vector(bad)
+    for bad in (Vector.from_dense(GF5, [1, 1, 1]), Vector.from_dense(GF3, [1, 1])):
+        with pytest.raises(ValueError, match="does not match the matrix rows"):
+            m.combine_rows(bad)
+
+
 def test_matrix_zero_entries_are_not_stored():
     m = SparseMatrix.from_entries(GF5, 2, 2, {(0, 0): 5, (1, 1): 3})
     assert m.nnz == 1
@@ -318,6 +338,35 @@ def test_certificate_checked_rejects_bad_witness():
         UnsolvabilityCertificate.checked(m, rhs, Vector.from_dense(QQ, [1, 0]))
     with pytest.raises(ValueError):
         UnsolvabilityCertificate.checked(m, rhs, Vector.from_dense(QQ, [1, 1]))
+
+
+def test_certificate_checked_rejects_a_zero_or_orthogonal_y():
+    m = SparseMatrix.from_dense(QQ, [[1, 1], [1, 1]])
+    rhs = Vector.from_dense(QQ, [1, 1])
+    with pytest.raises(ValueError, match="certificate vector is zero"):
+        UnsolvabilityCertificate.checked(m, rhs, Vector.zero(QQ, 2))
+    # y = (1, -1) annihilates the rows, and b as well
+    with pytest.raises(ValueError, match="orthogonal to the right-hand side"):
+        UnsolvabilityCertificate.checked(m, rhs, Vector.from_dense(QQ, [1, -1]))
+
+
+def test_solve_refuses_a_mismatched_rhs():
+    m = SparseMatrix.from_dense(GF5, [[1, 2], [0, 1]])
+    with pytest.raises(ValueError, match="right-hand side from a different field"):
+        solve(m, Vector.from_dense(GF3, [1, 1]))
+    with pytest.raises(ValueError, match="right-hand side length does not match the rows"):
+        solve(m, Vector.from_dense(GF5, [1, 1, 1]))
+
+
+def test_kernel_basis_rejects_a_wrong_kernel_vector(monkeypatch):
+    """Pivot rows that lose their free entries give e_free, which A does not
+    annihilate: ``kernel_basis``'s own check must catch it."""
+    m = SparseMatrix.from_dense(GF5, [[1, 2, 0], [0, 1, 1]])
+    assert kernel_basis(m) == [Vector.from_dense(GF5, [1, 2, 3])]
+    monkeypatch.setattr(Eliminator, "reduced_pivots",
+                        lambda self: {c: {c: self.spec.one} for c in self.pivots})
+    with pytest.raises(AssertionError, match="kernel vector failed verification"):
+        kernel_basis(m)
 
 
 def test_unsolvable_core_is_unsolvable_in_isolation():

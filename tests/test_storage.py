@@ -198,6 +198,26 @@ def test_public_accessors_refuse_non_int_indices(read):
         read()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SparseMatrix(GF5, -1, 2, ()),
+    lambda: SparseMatrix(GF5, 2.0, 2, ((), ())),
+    lambda: SparseMatrix(GF5, 1, True, ((),)),
+    lambda: SparseMatrix.from_entries(GF5, -1, 2, []),
+    lambda: SparseMatrix.from_entries(GF5, 1, -1, []),
+    lambda: SparseMatrix.from_dense(GF5, [], num_cols=-2),
+    lambda: Vector(GF5, -1, ()),
+    lambda: Vector.from_pairs(GF5, 2.0, [(0, 1)]),
+    lambda: Vector.zero(GF5, -3),
+], ids=["matrix-negative-rows", "matrix-float-rows", "matrix-bool-cols", "from_entries-negative-rows",
+        "from_entries-negative-cols", "from_dense-negative-cols", "vector-negative",
+        "from_pairs-float", "zero-negative"])
+def test_public_constructors_refuse_bad_sizes(build):
+    """A dimension or length is a nonnegative int, as an index is an int:
+    a float or bool one fails only later, inside ``transpose`` or ``pow``."""
+    with pytest.raises(ValueError, match="is not a nonnegative int"):
+        build()
+
+
 def _matrix_texts(spec, rng):
     """Rendered random matrices; the generators box, so they run first."""
     return [render_matrix((gen.independent_cols_matrix, gen.dependent_cols_matrix,

@@ -1,13 +1,14 @@
 """Incremental row feeding, prefix status, and refutation cores."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import gen
 from thincert import (AllPrefixesSolvable, FieldSpec, SparseMatrix, StreamState,
-                      UnsolvableAt, Vector, solve)
+                      UnsolvabilityCertificate, UnsolvableAt, Vector, solve)
 from thincert.elimination import Eliminator
 
 QQ = FieldSpec.rationals()
@@ -173,3 +174,54 @@ def test_push_chains_and_counts():
     assert out is st
     assert st.num_rows == 1
     assert st.solution().get(0) == Fraction(1, 2)
+
+
+def test_latched_stream_memory_is_flat():
+    # Nothing reads a row after the latch, so the stream stops storing them:
+    # later rows are reduced and counted, and memory stays put.
+    spec = FieldSpec.gf(1000003)
+    rng = random.Random(24)
+    st = StreamState(spec).push([], 1)
+
+    def push(count):
+        for _ in range(count):
+            st.push([(c, rng.randrange(1, spec.modulus)) for c in rng.sample(range(8), 4)],
+                    rng.randrange(spec.modulus))
+
+    push(1000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        push(2000)
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert st.status == UnsolvableAt(prefix_len=1, core=frozenset({0}))
+    assert st.num_rows == 3001 and st.num_cols == 8
+    assert growth < 64 * 1024
+
+
+@pytest.mark.parametrize("spec", [GF2, GF5, QQ], ids=str)
+def test_latch_checks_the_whole_prefix_once(spec, monkeypatch):
+    checks = []
+    checked = UnsolvabilityCertificate.checked.__func__
+
+    def spy(cls, matrix, rhs, y):
+        checks.append((matrix.num_rows, rhs.length, y.support))
+        return checked(cls, matrix, rhs, y)
+
+    monkeypatch.setattr(UnsolvabilityCertificate, "checked", classmethod(spy))
+    st = StreamState(spec)
+    st.push([(2, 1)], 1).push([(0, 1), (1, 1)], 1).push([(0, 1), (1, 1)], 0)
+    st.push([(0, 1), (1, 1)], 1).push([], 1)    # contradictions after the latch
+    assert st.status == UnsolvableAt(prefix_len=3, core=frozenset({1, 2}))
+    assert checks == [(3, 3, frozenset({1, 2}))]
+
+
+@pytest.mark.parametrize("spec", [GF5, QQ], ids=str)
+def test_stream_solution_check_rejects_a_wrong_solution(spec, monkeypatch):
+    st = StreamState(spec).push([(0, 1), (1, 1)], 1).push([(1, 1)], 0)
+    assert st.solution() == Vector.from_dense(spec, [1, 0])
+    monkeypatch.setattr(Eliminator, "solution", lambda self: {1: spec.one})
+    with pytest.raises(AssertionError, match="solution failed verification"):
+        st.solution()

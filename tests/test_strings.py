@@ -240,6 +240,13 @@ def test_witness_pair_checked_validation():
         WitnessPair.checked(m, s, [0], [])
 
 
+def test_witness_pair_refuses_columns_outside_the_string():
+    m = SparseMatrix.from_dense(QQ, [[1, 1]])
+    s = SaturatedString.of("r0", "c0")
+    with pytest.raises(ValueError, match="witness cols outside the string's column range"):
+        WitnessPair.checked(m, s, [0], [1])
+
+
 def test_lemma_witness_identity_example():
     m = SparseMatrix.from_dense(QQ, [[1]])
     pair = lemma_witness(m, SaturatedString.of("r0", "c0"))
