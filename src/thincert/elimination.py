@@ -18,14 +18,20 @@ refutation combination does.
 One loop reduces over both fields on plain ``int`` values, by the
 fraction-free step ``row = a*row - b*pivot`` with ``a`` the pivot's lead.
 Over GF(p) a pivot row is scaled to a unit lead when registered, so ``a`` is
-one and the step is taken mod p.  Over Q a row is cleared of denominators and
-divided after each step by the gcd of row and right-hand side; a pivot row
-keeps a positive integer lead.  The trail does not enter that gcd, so a
-tracked pivot row equals an untracked one; over Q its multipliers and scale
-are ``Fraction``s, built only when tracking.  Every pivot row is
-proportional to its unit-lead form, so pivot columns, ``solution`` and
-``reduced_pivots`` (which divide by the lead) and refutations (scaled to
-coefficient one on the row fed) equal those of unit-lead elimination.
+one, and the step is not reduced: an entry is reduced mod p once, when it
+comes up as the row's lowest column, the right-hand side once after the
+loop, and a surviving row once, as it is scaled to a unit lead.  Between
+reductions an entry stays below (steps + 1) * p^2 in absolute value.  An
+entry that cancels stays in the row as a zero, over both fields; it is
+dropped when it comes up, or when the row is rebuilt.  Over Q a row is
+cleared of denominators and divided after each step by the gcd of row and
+right-hand side; a pivot row keeps a positive integer lead.  The trail does
+not enter that gcd, so a tracked pivot row equals an untracked one; over Q
+its multipliers and scale are ``Fraction``s, built only when tracking.
+Every pivot row is proportional to its unit-lead form, so pivot columns,
+``solution`` and ``reduced_pivots`` (which divide by the lead) and
+refutations (scaled to coefficient one on the row fed) equal those of
+unit-lead elimination.
 Back-substitution and ``reduced_pivots`` stay on integers too: a vector is
 integer numerators over one common denominator, and a reduced row is divided
 by its lead once, as it is emitted; ``Fraction``s are built only for the
@@ -43,8 +49,9 @@ from .field import FieldSpec, Raw
 
 
 def _divided(row: dict[int, int], rhs: int, g: int) -> tuple[dict[int, int], int]:
-    """An integer row and right-hand side divided exactly by ``g``."""
-    return {c: v // g for c, v in row.items()}, rhs // g
+    """An integer row and right-hand side divided exactly by ``g``, without
+    the row's zeros (entries that cancelled and linger in the row)."""
+    return {c: v // g for c, v in row.items() if v}, rhs // g
 
 
 class ReducedRow:
@@ -111,17 +118,24 @@ class Eliminator:
             if track:
                 s = Fraction(m, g)
         else:
-            row = {c: v for c, v in cells.items() if v != 0}
-        # Min-heap of the row's columns, pushed as they enter the row; an entry
-        # whose column has cancelled is skipped.  Reducing by the pivot at h
-        # only touches columns above h, so the top live entry is the row's
-        # lowest column.  The first one without a pivot leads the row.
+            row = dict(cells)
+        # Min-heap of the row's columns, each pushed once, as it enters the
+        # row.  An entry is reduced mod p only when it reaches the top; one
+        # that is zero there has cancelled and is dropped, since cancelled
+        # entries stay in the row.  Reducing by the pivot at h only touches
+        # columns above h, so the top nonzero entry is the row's lowest
+        # column.  The first one without a pivot leads the row.
         heap = list(row)
         heapify(heap)
         while heap:
             hit = heappop(heap)
             b = row.get(hit)
-            if b is None:
+            if b is None:       # over Q only: dropped by ``_divided``
+                continue
+            if p is not None:
+                b %= p
+            if not b:
+                del row[hit]
                 continue
             piv = pivots.get(hit)
             if piv is None:
@@ -134,21 +148,18 @@ class Eliminator:
                 if a != 1:
                     row = {c: a * v for c, v in row.items()}
                     rhs *= a
-            # row = a*row - b*pivot, reduced mod p over GF(p)
+            # row = a*row - b*pivot, not reduced mod p
+            nb = -b
             for c, v in piv.cells.items():
                 if c == hit:
                     continue
                 old = row.get(c)
                 if old is None:
-                    row[c] = -b * v if p is None else -b * v % p
+                    row[c] = nb * v
                     heappush(heap, c)
                 else:
-                    w = old - b * v if p is None else (old - b * v) % p
-                    if w:
-                        row[c] = w
-                    else:
-                        del row[c]
-            rhs = rhs - b * piv.rhs if p is None else (rhs - b * piv.rhs) % p
+                    row[c] = old + nb * v
+            rhs += nb * piv.rhs
             if p is None:
                 g = gcd(*row.values(), rhs) or 1
                 if g > 1:
@@ -158,15 +169,20 @@ class Eliminator:
                     s = s * a / g
             elif track:
                 trail[hit] = b
+        if p is not None:
+            rhs %= p
         if row:         # the loop stopped at the lead column ``hit``, of value b
             if p is None:
                 if b < 0:
                     row, rhs = _divided(row, rhs, -1)
                     s = -s
-            elif b != 1:
-                s = self.spec.inv(b)
-                row = {c: s * v % p for c, v in row.items()}
-                rhs = s * rhs % p
+                elif not all(row.values()):
+                    row = {c: v for c, v in row.items() if v}
+            else:
+                if b != 1:
+                    s = self.spec.inv(b)
+                    rhs = s * rhs % p
+                row = {c: w for c, v in row.items() if (w := s * v % p)}
             pivots[hit] = ReducedRow(row, rhs, trail, k, s)
             return None
         if rhs == 0:

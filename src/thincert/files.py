@@ -69,7 +69,9 @@ def parse_matrix(text: str) -> SparseMatrix:
     parse_raw = spec.parse_raw
     # Rows are sorted at the end only if some row's columns may not ascend:
     # a row continued on the next line with a lower column, or resumed later.
-    in_order, last_i, last_j = True, -1, -1
+    # A run of lines with the same row text reads the row index once; a
+    # resumed row may repeat any earlier column, so every column is looked up.
+    in_order, last_text, last_i, last_j = True, None, -1, -1
     for lineno, raw_line in lines:
         if "#" in raw_line:
             raw_line = raw_line.split("#", 1)[0]
@@ -79,20 +81,33 @@ def parse_matrix(text: str) -> SparseMatrix:
                 continue
             _fail(lineno, "expected '<row> <col> <scalar>'")
         row_text, col_text, token = parts
-        try:
-            i, j = int(row_text), int(col_text)
-        except ValueError:
-            _fail(lineno, "row and column must be integers")
-        if not (0 <= i < nr and 0 <= j < nc):
-            _fail(lineno, f"entry ({i}, {j}) out of range for {nr}x{nc}")
-        cells = per_row.get(i)
-        if cells is None:
-            cells = per_row[i] = {}
-        elif j in cells:
-            _fail(lineno, f"duplicate entry at ({i}, {j})")
-        elif i != last_i or j < last_j:
-            in_order = False
-        last_i, last_j = i, j
+        if row_text == last_text:
+            try:
+                j = int(col_text)
+            except ValueError:
+                _fail(lineno, "row and column must be integers")
+            if not 0 <= j < nc:
+                _fail(lineno, f"entry ({i}, {j}) out of range for {nr}x{nc}")
+            if j in cells:
+                _fail(lineno, f"duplicate entry at ({i}, {j})")
+            if j < last_j:
+                in_order = False
+        else:
+            try:
+                i, j = int(row_text), int(col_text)
+            except ValueError:
+                _fail(lineno, "row and column must be integers")
+            if not (0 <= i < nr and 0 <= j < nc):
+                _fail(lineno, f"entry ({i}, {j}) out of range for {nr}x{nc}")
+            cells = per_row.get(i)
+            if cells is None:
+                cells = per_row[i] = {}
+            elif j in cells:
+                _fail(lineno, f"duplicate entry at ({i}, {j})")
+            elif i != last_i or j < last_j:
+                in_order = False
+            last_text, last_i = row_text, i
+        last_j = j
         value = values.get(token)
         if value is None:
             try:

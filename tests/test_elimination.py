@@ -226,6 +226,62 @@ def assert_matches_reference(spec, rows):
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_entry_cancelled_mid_reduction_and_written_again(spec):
+    """Row 2 holds a multiple of row 0 at columns 0 and 3, so its column 3
+    cancels when pivot 0 is taken off (over GF(p) the unreduced entry is
+    only congruent to zero); pivot 1 then writes column 3 again, and the row
+    leads there.  Row 3 repeats row 2 with another right-hand side: its
+    column 4 cancels too and reaches the top of the heap as zero, and the row
+    vanishes with a refutation.  Rows 4 and 5 are the same multiple of row 0
+    plus column 5 or column 2: the first leads at 5 once its cancelled
+    column 3 is dropped, the second at 2 with that column cancelled above
+    its lead, and both are stored without it."""
+    rng = random.Random(f"refill/{spec.modulus}")
+    for _ in range(10):
+        nz = [gen.rand_nonzero(spec, rng) for _ in range(9)]
+        row0, row1 = {0: nz[0], 3: nz[1]}, {1: nz[2], 3: nz[3], 4: nz[4]}
+        row2 = {0: spec.mul(nz[5], nz[0]), 1: nz[6], 3: spec.mul(nz[5], nz[1])}
+        row4 = {0: row2[0], 3: row2[3], 5: nz[7]}
+        row5 = {0: row2[0], 2: nz[8], 3: row2[3]}
+        rhs = [gen.rand_scalar(spec, rng) for _ in range(5)]
+        rows = [(row0, rhs[0]), (row1, rhs[1]), (row2, rhs[2]),
+                (row2, spec.add(rhs[2], spec.one)), (row4, rhs[3]), (row5, rhs[4])]
+        assert_matches_reference(spec, rows)
+        elim = Eliminator(spec)
+        refuted = {2: spec.neg(spec.one), 3: spec.one}
+        assert [elim.feed(cells, b) for cells, b in rows] == [None] * 3 + [refuted, None, None]
+        assert {c: set(r.cells) for c, r in elim.pivots.items()} == {
+            0: {0, 3}, 1: {1, 3, 4}, 3: {3, 4}, 5: {5}, 2: {2}}
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_stored_pivot_rows_are_canonical(spec):
+    """Every stored pivot row holds canonical nonzero values only: over GF(p)
+    residues in (0, p) with lead one, and a right-hand side in [0, p); over Q
+    nonzero ints with a positive lead, sharing no factor with each other and
+    the right-hand side."""
+    rng = random.Random(f"canonical/{spec.modulus}")
+    for trial in range(30):
+        ncols = rng.randint(1, 12)
+        rows = (big_rows(rng, rng.randint(1, 14), ncols) if spec is QQ and trial % 2
+                else random_rows(spec, rng, rng.randint(1, 18), ncols))
+        elim = Eliminator(spec, track=trial % 3 == 0)
+        for cells, rhs in rows:
+            elim.feed(cells, rhs)
+        for c, r in elim.pivots.items():
+            assert min(r.cells) == c
+            values = [*r.cells.values(), r.rhs]
+            assert all(type(v) is int for v in values)
+            assert all(v != 0 for v in r.cells.values())
+            if spec.is_prime_field:
+                assert r.cells[c] == 1
+                assert all(0 < v < spec.modulus for v in r.cells.values())
+                assert 0 <= r.rhs < spec.modulus
+            else:
+                assert r.cells[c] > 0 and gcd(*values) == 1
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_refutation_combination_annihilates_rows(spec):
     rng = random.Random(f"refute/{spec.modulus}")
     refutations = 0

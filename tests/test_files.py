@@ -190,3 +190,22 @@ def test_shuffled_entries_give_the_canonical_matrix():
             entries = list(m.nonzeros())
             rng.shuffle(entries)
             assert SparseMatrix.from_entries(spec, m.num_rows, m.num_cols, entries) == m
+
+
+def test_resumed_row_repeating_an_earlier_column_is_a_duplicate():
+    """Row 0 resumes after row 1 and repeats column 5, which is not the
+    column of its last line before, so every column of a resumed row is
+    looked up."""
+    text = "field gf 5\n2 6\n0 5 1\n1 0 1\n0 3 1\n0 5 1\n"
+    with pytest.raises(MatrixFormatError) as info:
+        parse_matrix(text)
+    assert str(info.value) == "line 6: duplicate entry at (0, 5)"
+
+
+def test_adjacent_lines_with_differently_written_row_indices_make_one_row():
+    m = parse_matrix("field gf 5\n2 2\n1 0 1\n01 1 1\n")
+    assert m == parse_matrix("field gf 5\n2 2\n1 0 1\n1 1 1\n")
+    assert m.nnz == 2 and m.raw_row(1) == {0: 1, 1: 1}
+    with pytest.raises(MatrixFormatError) as info:
+        parse_matrix("field gf 5\n2 2\n1 1 1\n01 0 1\n1 1 2\n")
+    assert str(info.value) == "line 5: duplicate entry at (1, 1)"

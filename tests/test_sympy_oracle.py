@@ -20,7 +20,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 P = 1000003
-FIELDS = [FieldSpec.rationals(), FieldSpec.gf(P)]
+FIELDS = [FieldSpec.rationals(), FieldSpec.gf(2), FieldSpec.gf(P), FieldSpec.gf(2**61 - 1)]
 
 
 def to_sympy(spec, nrows, ncols, rows):
