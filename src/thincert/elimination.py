@@ -119,12 +119,13 @@ class Eliminator:
                 s = Fraction(m, g)
         else:
             row = dict(cells)
-        # Min-heap of the row's columns, each pushed once, as it enters the
-        # row.  An entry is reduced mod p only when it reaches the top; one
-        # that is zero there has cancelled and is dropped, since cancelled
-        # entries stay in the row.  Reducing by the pivot at h only touches
-        # columns above h, so the top nonzero entry is the row's lowest
-        # column.  The first one without a pivot leads the row.
+        # Min-heap of the row's columns, pushed as they enter the row.  An
+        # entry that cancels stays in the row as a zero, so over GF(p) each
+        # column is pushed once.  An entry is reduced mod p only when it
+        # reaches the top, and one that is zero there is dropped.  Reducing
+        # by the pivot at h only touches columns above h, so the top nonzero
+        # entry is the row's lowest column.  The first one without a pivot
+        # leads the row.
         heap = list(row)
         heapify(heap)
         while heap:
