@@ -265,13 +265,16 @@ def deficiency_string(graph: SupportGraph, violator: Iterable[int]) -> "Saturate
     if not cols:
         raise ValueError("violator set must be nonempty")
     adj = graph.adj
+    # A float or a bool equal to a column would pass the lookup below.
+    if not all(type(j) is int or _is_index(j) for j in cols):
+        raise ValueError("violator columns must be ints")
     if not cols <= adj.keys():
         raise ValueError(f"c{min(cols - adj.keys())} is not a left vertex")
     j0 = sorted(cols)
     hood = sorted(graph.neighbourhood(j0))
     if not len(hood) < len(j0):
         raise ValueError("given set does not violate the covering condition")
-    # Both lists are sorted, distinct vertices of the graph, so only the
+    # Both lists are sorted, distinct int vertices of the graph, so only the
     # sign of each list's least index is left of the constructors' checks.
     if j0[0] < 0 or (hood and hood[0] < 0):
         raise ValueError("vertex index must be nonnegative")

@@ -168,7 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("string", help="e.g. 'r0 c0' or '[r0 | r1 c1]* r9'")
     p = add("witness", _cmd_witness, "rank witness for a saturated string")
     p.add_argument("string")
-    p.add_argument("--include", default="", help="row vertices the witness must keep")
+    p.add_argument("--include", default="",
+                   help="rows that must be in I'; I' holds every listed row")
     p = sub.add_parser("stream", help="read '<rhs> ; <col>:<scalar> ...' rows from stdin")
     p.set_defaults(fn=_cmd_stream)
     p.add_argument("--field", default="rational", help="'rational' or 'gf:<p>'")

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Container, Iterable, Sequence, Union
 
 from .bigraph import SupportGraph, Vertex, support_graph
-from .elimination import Eliminator
-from .field import Raw, _is_index
-from .linalg import SparseMatrix, Vector, _self_check, rank, solve
+from .field import _is_index
+from .linalg import SparseMatrix, Vector, _first_kernel_vector, _self_check, rank
 
 __all__ = [
     "MuValue",
@@ -268,23 +267,27 @@ class DependentColumnsError(ValueError):
 
 def lemma_witness(matrix: SparseMatrix, string: SaturatedString,
                   base_rows: Iterable[int] = ()) -> WitnessPair:
-    """Extract a rank witness for a saturated string by replaying it.
+    """Extract a rank witness for a saturated string: I' is every listed row
+    and J' every listed column, unless some listed column depends on the
+    columns listed before it.
 
-    Every row entry joins the witness row set without changing the rank of
-    the restriction (its earlier-column entries are all zero).  Every column
-    entry must be independent of the earlier listed columns: the columns are
-    fed, as vectors over the rows, into one elimination, and since each
-    one's support lies inside the rows listed before it, the rank steps up
-    by one exactly when it is independent.  If some column turns out
-    dependent instead, the sub-system on the listed rows and earlier columns
-    is solved once, and its unique solution is converted into a kernel
-    vector of the full matrix, verified, and raised as a
-    ``DependentColumnsError``.
+    Saturation puts each listed column's support inside the listed rows, so
+    the listed columns are restricted to those rows, in string order, and
+    one kernel vector of that restriction decides.  A column is a pivot
+    exactly when it is independent of the columns before it, so the lowest
+    free column is the first dependent one, j0.  Its kernel vector lives on
+    j0 and the pivots before it, which are independent, so it is the unique
+    combination with -1 at j0; scaled so, it is verified against the full
+    matrix (``A lam = 0``) and raised as a ``DependentColumnsError``.  With
+    no free column every listed column is independent, and the pair is
+    checked before it is returned.
     """
     graph = support_graph(matrix)
     if not is_saturated(graph, string):
         raise ValueError("string is not saturated for this matrix")
     base = frozenset(base_rows)
+    if not all(map(_is_index, base)):
+        raise ValueError("base rows must be ints")
     if not base <= string.row_range:
         raise ValueError("base rows must appear in the string")
     running = 0
@@ -292,37 +295,15 @@ def lemma_witness(matrix: SparseMatrix, string: SaturatedString,
         if running < 0:
             raise ValueError(f"mu of the prefix of length {k} is negative")
         running = _step(running, v)
-    spec = matrix.spec
-    columns: dict[int, dict[int, Raw]] = {j: {} for j in string.col_range}
-    for i in string.row_range:
-        for j, v in matrix._cells[i].items():
-            if (column := columns.get(j)) is not None:
-                column[i] = v
-    elim = Eliminator(spec, track=False)
-    listed_rows: list[int] = []
-    listed_cols: list[int] = []
-    for v in string.entries:
-        if v.is_row:
-            listed_rows.append(v.index)
-            continue
-        j0 = v.index
-        column = columns[j0]
-        elim.feed(column, spec.zero)
-        if elim.rank > len(listed_cols):
-            listed_cols.append(j0)
-            continue
-        rows_now = sorted(listed_rows)
-        cols_now = sorted(listed_cols)
-        rhs = Vector.from_pairs(spec, len(rows_now),
-                                ((pos, column[i]) for pos, i in enumerate(rows_now)
-                                 if i in column))
-        outcome = solve(matrix.submatrix(rows_now, cols_now), rhs)
-        if not isinstance(outcome, Vector):
-            raise AssertionError(f"dependent column c{j0} has no solution on the listed rows")
-        cells = {cols_now[pos]: v for pos, v in outcome._cells.items()}
-        cells[j0] = spec.neg(spec.one)
-        lam = Vector.from_pairs(spec, matrix.num_cols, cells.items())
-        if not matrix.mul_vector(lam).is_zero:
-            raise AssertionError("dependent-column kernel vector failed verification")
-        raise DependentColumnsError(f"column c{j0} depends on the earlier listed columns", lam)
-    return _self_check(WitnessPair.checked, matrix, string, listed_rows, listed_cols)
+    listed_rows = [v.index for v in string.entries if v.is_row]
+    cols = [v.index for v in string.entries if v.is_col]
+    local = _first_kernel_vector(matrix.submatrix(listed_rows, cols))
+    if local is None:
+        return _self_check(WitnessPair.checked, matrix, string, listed_rows, cols)
+    spec, free = matrix.spec, max(local._cells)
+    scale = spec.neg(spec.inv(local._cells[free]))
+    lam = Vector.from_pairs(spec, matrix.num_cols, ((cols[pos], spec.mul(scale, v))
+                                                    for pos, v in local._cells.items()))
+    if not matrix.mul_vector(lam).is_zero:
+        raise AssertionError("dependent-column kernel vector failed verification")
+    raise DependentColumnsError(f"column c{cols[free]} depends on the earlier listed columns", lam)

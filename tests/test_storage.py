@@ -143,6 +143,7 @@ GF5 = FieldSpec.gf(5)
 _EL = GF5.element(2)
 _M = SparseMatrix.from_dense(GF5, [[1, 1], [1, 2]])
 _S = SaturatedString.of("r0", "r1", "c0", "c1")
+_G = SupportGraph([0, 1], [0], [(0, 0), (1, 0)])     # {c0, c1} violates the covering condition
 
 
 @pytest.mark.parametrize("build", [
@@ -163,10 +164,15 @@ _S = SaturatedString.of("r0", "r1", "c0", "c1")
     lambda: Vertex("r", 1.0),
     lambda: SupportGraph([1.0], [0], []),
     lambda: SupportGraph([0, 1], [0], [(1.0, 0)]),
+    lambda: deficiency_string(_G, [1.0, 0]),
+    lambda: deficiency_string(_G, [True, 0]),
+    lambda: lemma_witness(_M, _S, base_rows=[0.0]),
+    lambda: lemma_witness(_M, _S, base_rows=[True]),
 ], ids=["vector-float", "vector-bool", "from_pairs-float", "matrix-float",
         "from_entries-float", "from_entries-bool", "sdr-bool", "sdr-float", "bijection-float",
         "matching-float", "witness-bool", "witness-float", "stream-float", "vertex-bool",
-        "vertex-float", "graph-vertex-float", "graph-edge-float"])
+        "vertex-float", "graph-vertex-float", "graph-edge-float", "deficiency-float",
+        "deficiency-bool", "base-row-float", "base-row-bool"])
 def test_public_inputs_refuse_non_int_indices(build):
     """A float or bool equals and hashes like an int index, so without the
     check it passes every lookup and ends up inside the result."""

@@ -1,5 +1,6 @@
 """Vertex strings, the weighting, limit values, and rank witnesses."""
 
+import itertools
 import math
 import random
 
@@ -368,24 +369,55 @@ def test_lemma_witness_matches_three_solve_replay():
     assert dependent >= 10
 
 
-def test_lemma_witness_solves_only_for_a_dependent_column(monkeypatch):
-    calls = []
+def _saturated_strings(matrix):
+    """Every string of distinct vertices that lists each column after all
+    of its support rows, the empty string and those with a negative prefix
+    weight included."""
+    graph = support_graph(matrix)
+    vertices = [Vertex.row(i) for i in graph.right] + [Vertex.col(j) for j in graph.left]
+    for k in range(len(vertices) + 1):
+        for entries in itertools.permutations(vertices, k):
+            if is_saturated(graph, entries):
+                yield SaturatedString(entries)
 
-    def counted(matrix, rhs):
-        calls.append(matrix.num_cols)
-        return solve(matrix, rhs)
 
-    monkeypatch.setattr(thincert.strings, "solve", counted)
-    rng = random.Random(99)
-    for spec in (GF2, GF5, QQ):
-        m = gen.independent_cols_matrix(spec, rng, max_rows=12, max_cols=10)
-        s = gen.random_saturated_string(m, rng, stop=0.0)
-        assert lemma_witness(m, s).cols == s.col_range
-    assert calls == []
-    m = SparseMatrix.from_dense(QQ, [[1, 0, 1], [0, 1, 1]])
-    with pytest.raises(DependentColumnsError):
-        lemma_witness(m, SaturatedString.of("r0", "r1", "c0", "c1", "c2"))
-    assert calls == [2]
+def _sweep_outcome(outcome):
+    if isinstance(outcome, DependentColumnsError):
+        return "dependent", str(outcome), outcome.kernel_vector
+    if isinstance(outcome, ValueError):
+        return "refused", str(outcome)
+    return "pair", outcome
+
+
+def _checked_replay(matrix, string):
+    """``_three_solve_replay`` behind ``lemma_witness``'s prefix-weight check."""
+    running = 0
+    for k, v in enumerate(string.entries):
+        if running < 0:
+            return ValueError(f"mu of the prefix of length {k} is negative")
+        running += 1 if v.is_row else -1
+    return _three_solve_replay(matrix, string)
+
+
+@pytest.mark.parametrize("spec, shapes, values", [
+    (GF2, [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2)], [0, 1]),
+    (FieldSpec.gf(3), [(2, 2)], [0, 1, 2]),
+    (QQ, [(2, 2)], [0, 1, -2]),
+], ids=["gf2", "gf3", "q"])
+def test_lemma_witness_matches_replay_on_every_small_matrix(spec, shapes, values):
+    """Every matrix of the given shapes and entries, with every saturated
+    string over it: the outcome is the replay's pair, dependent column and
+    kernel vector, or refusal."""
+    for rows, cols in shapes:
+        for grid in itertools.product(values, repeat=rows * cols):
+            m = SparseMatrix.from_dense(spec, [grid[i * cols:(i + 1) * cols]
+                                               for i in range(rows)])
+            for s in _saturated_strings(m):
+                try:
+                    got = lemma_witness(m, s)
+                except ValueError as exc:
+                    got = exc
+                assert _sweep_outcome(got) == _sweep_outcome(_checked_replay(m, s)), (m, str(s))
 
 
 def test_lemma_witness_verifies_the_dependent_column_vector(monkeypatch):
@@ -394,8 +426,8 @@ def test_lemma_witness_verifies_the_dependent_column_vector(monkeypatch):
     with pytest.raises(DependentColumnsError) as info:
         lemma_witness(m, s)
     assert str(info.value.kernel_vector) == "2 -1"
-    # A wrong solution of the sub-system must not escape as a kernel vector.
-    monkeypatch.setattr(thincert.strings, "solve",
-                        lambda sub, rhs: Vector.from_dense(QQ, [3]))
+    # A wrong kernel vector of the restriction must not escape as one of A.
+    monkeypatch.setattr(thincert.strings, "_first_kernel_vector",
+                        lambda sub: Vector.from_dense(QQ, [3, 1]))
     with pytest.raises(AssertionError, match="verification"):
         lemma_witness(m, s)
