@@ -12,6 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import invert
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .field import _is_index
@@ -32,18 +33,27 @@ __all__ = [
 ]
 
 
+def _raw_vertex(side: object, index: object) -> int:
+    """The raw form of the vertex ``(side, index)``, one int: row i is ``i``
+    and column j is ``~j``.  Refuses, with ``ValueError``, what ``Vertex``
+    refuses: a side other than ``r`` or ``c``, and an index that is not a
+    nonnegative int."""
+    if side not in ("r", "c"):
+        raise ValueError(f"vertex side must be 'r' or 'c', got {side!r}")
+    if not (type(index) is int or _is_index(index)):     # fast common case
+        raise ValueError(f"vertex index {index!r} is not an int")
+    if index < 0:
+        raise ValueError("vertex index must be nonnegative")
+    return index if side == "r" else ~index
+
+
 class Vertex(NamedTuple("Vertex", [("side", str), ("index", int)])):
     """A side-tagged vertex: ``c`` for a column (left), ``r`` for a row (right)."""
 
     __slots__ = ()
 
     def __new__(cls, side: str, index: int) -> "Vertex":
-        if side not in ("r", "c"):
-            raise ValueError(f"vertex side must be 'r' or 'c', got {side!r}")
-        if not _is_index(index):
-            raise ValueError(f"vertex index {index!r} is not an int")
-        if index < 0:
-            raise ValueError("vertex index must be nonnegative")
+        _raw_vertex(side, index)
         return tuple.__new__(cls, (side, index))
 
     @classmethod
@@ -243,7 +253,7 @@ def hall_violator(graph: SupportGraph) -> frozenset[int] | None:
         else:
             left_over.append(j)
     dead = _augment(adj, left_over, match_row)
-    _self_check(Matching.checked, graph, ((j, i) for i, j in match_row.items()))
+    _self_check(Matching.checked, graph, zip(match_row.values(), match_row))
     exposed = set(left_over).difference(match_row.values())
     if not exposed:
         return None
@@ -278,9 +288,7 @@ def deficiency_string(graph: SupportGraph, violator: Iterable[int]) -> "Saturate
     # sign of each list's least index is left of the constructors' checks.
     if j0[0] < 0 or (hood and hood[0] < 0):
         raise ValueError("vertex index must be nonnegative")
-    new = tuple.__new__
-    return SaturatedString._trusted(tuple([new(Vertex, ("r", i)) for i in hood]
-                                          + [new(Vertex, ("c", j)) for j in j0]))
+    return SaturatedString._trusted((*hood, *map(invert, j0)))
 
 
 def cantor_bernstein_merge(graph: SupportGraph, cols_cover: Matching,

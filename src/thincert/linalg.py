@@ -32,8 +32,9 @@ Scalarish = Union[int, Fraction, FieldElement]
 
 
 def _box_view(self, name: str):
-    """``__getattr__`` of ``Vector`` and ``SparseMatrix``: only the boxed view
-    ``_VIEW`` can be missing, on a trusted instance.  Box it once and cache it."""
+    """``__getattr__`` of ``Vector``, ``SparseMatrix`` and ``SaturatedString``:
+    only the boxed view ``_VIEW`` can be missing, on a trusted instance.  Box
+    it once and cache it."""
     if name != self._VIEW:
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
     view = self._boxed()

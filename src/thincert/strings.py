@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import compress
 from typing import Container, Iterable, Sequence, Union
 
-from .bigraph import SupportGraph, Vertex, support_graph
+from .bigraph import SupportGraph, Vertex, _raw_vertex
 from .field import _is_index
-from .linalg import SparseMatrix, Vector, _first_kernel_vector, _self_check, rank
+from .linalg import SparseMatrix, Vector, _box_view, _first_kernel_vector, _self_check, rank
 
 __all__ = [
     "MuValue",
@@ -49,44 +50,70 @@ def parse_vertex(token: str) -> Vertex:
 
 @dataclass(frozen=True)
 class SaturatedString:
-    """A finite injective vertex sequence (saturation is checked against a graph)."""
+    """A finite injective vertex sequence (saturation is checked against a graph).
+
+    Stored raw, one int per vertex: row i is ``i`` and column j is ``~j``.
+    ``entries`` is boxed into ``Vertex`` objects on first access and cached,
+    as a ``Vector``'s is; the library reads the raw form.  The public
+    constructor checks every entry as ``Vertex`` does; internal builders
+    skip the checks via ``_trusted``.
+    """
 
     entries: tuple[Vertex, ...]
+    _VIEW = "entries"
+    __getattr__ = _box_view
 
     def __post_init__(self) -> None:
-        if len(set(self.entries)) != len(self.entries):
+        raw = tuple(_raw_vertex(side, index) for side, index in self.entries)
+        if len(set(raw)) != len(raw):
             raise ValueError("string entries must be distinct")
+        object.__setattr__(self, "_raw", raw)
 
     @classmethod
-    def _trusted(cls, entries: tuple[Vertex, ...]) -> "SaturatedString":
-        """The string of ``entries``, which the caller guarantees distinct."""
+    def _trusted(cls, raw: tuple[int, ...]) -> "SaturatedString":
+        """The string of raw vertices ``raw``, which the caller guarantees distinct."""
         s = object.__new__(cls)
-        object.__setattr__(s, "entries", entries)
+        object.__setattr__(s, "_raw", raw)
         return s
+
+    def _boxed(self) -> tuple[Vertex, ...]:
+        new = tuple.__new__
+        return tuple(new(Vertex, ("r", v) if v >= 0 else ("c", ~v)) for v in self._raw)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._raw == other._raw
+
+    def __hash__(self) -> int:
+        return hash(self._raw)
+
+    def __reduce__(self):
+        return type(self), (self.entries,)
 
     @classmethod
     def of(cls, *tokens: str) -> "SaturatedString":
         return cls(tuple(parse_vertex(t) for t in tokens))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._raw)
 
     def __iter__(self):
         return iter(self.entries)
 
     def prefix(self, k: int) -> "SaturatedString":
-        return SaturatedString(self.entries[:k])
+        return SaturatedString._trusted(self._raw[:k])
 
     @property
     def row_range(self) -> frozenset[int]:
-        return frozenset(v.index for v in self.entries if v.is_row)
+        return frozenset(v for v in self._raw if v >= 0)
 
     @property
     def col_range(self) -> frozenset[int]:
-        return frozenset(v.index for v in self.entries if v.is_col)
+        return frozenset(~v for v in self._raw if v < 0)
 
     def __str__(self) -> str:
-        return " ".join(str(v) for v in self.entries)
+        return " ".join(f"r{v}" if v >= 0 else f"c{~v}" for v in self._raw)
 
 
 @dataclass(frozen=True)
@@ -148,32 +175,60 @@ def parse_string_literal(text: str) -> SaturatedString | OrdinalString:
     return OrdinalString(tuple(blocks), tail)
 
 
-def _require_vertices(entries: Iterable[Vertex], rows: Container[int],
+def _require_vertices(raw: Iterable[int], rows: Container[int],
                       cols: Container[int]) -> int:
-    """Raise on the first entry whose index is not among ``rows`` (row entries)
-    or ``cols`` (column entries); return mu, the row entries less the columns."""
+    """Raise on the first raw vertex that is not a row among ``rows`` or a
+    column among ``cols``; return mu, the row entries less the columns."""
     mu = 0
-    for side, index in entries:
-        mu += 1 if side == "r" else -1
-        if index not in (rows if side == "r" else cols):
-            raise ValueError(f"vertex {side}{index} is not in the graph")
+    for v in raw:
+        if v >= 0:
+            mu += 1
+            if v not in rows:
+                raise ValueError(f"vertex r{v} is not in the graph")
+        else:
+            mu -= 1
+            if ~v not in cols:
+                raise ValueError(f"vertex c{~v} is not in the graph")
     return mu
 
 
 def is_saturated(graph: SupportGraph, string: SaturatedString | Sequence[Vertex]) -> bool:
     """True iff the entries are distinct and every listed column's neighbourhood
-    appears earlier in the string."""
-    entries = tuple(string.entries if isinstance(string, SaturatedString) else string)
+    appears earlier in the string.
+
+    A ``SaturatedString``'s entries are distinct by construction; a plain
+    sequence is checked as the ``SaturatedString`` constructor checks it,
+    except that a repeated vertex gives False."""
+    if isinstance(string, SaturatedString):
+        raw, distinct = string._raw, True
+    else:
+        raw = tuple(_raw_vertex(side, index) for side, index in string)
+        distinct = len(set(raw)) == len(raw)
     adj = graph.adj
-    _require_vertices(entries, graph.radj, adj)
-    if len(set(entries)) != len(entries):
+    _require_vertices(raw, graph.radj, adj)
+    if not distinct:
         return False
     earlier_rows: set[int] = set()
-    for side, index in entries:
-        if side == "r":
-            earlier_rows.add(index)
-        elif not earlier_rows.issuperset(adj[index]):
+    for v in raw:
+        if v >= 0:
+            earlier_rows.add(v)
+        elif not earlier_rows.issuperset(adj[~v]):
             return False
+    return True
+
+
+def _saturated_in(matrix: SparseMatrix, raw: tuple[int, ...]) -> bool:
+    """``is_saturated`` for ``raw``, distinct raw vertices of ``matrix``,
+    read off its rows in one pass over the nonzeros with no support graph:
+    a nonzero at (i, j) with column j listed needs row i listed before j."""
+    at = {v: k for k, v in enumerate(raw)}
+    end = len(raw)          # the position of every unlisted vertex
+    cells = matrix._cells
+    for i in compress(range(matrix.num_rows), cells):
+        k = at.get(i, end)
+        for j in cells[i]:
+            if at.get(~j, end) < k:
+                return False
     return True
 
 
@@ -183,7 +238,7 @@ def _step(value: MuValue, v: Vertex) -> MuValue:
 
 def mu_finite(graph: SupportGraph, string: SaturatedString) -> int:
     """Row entries count +1, column entries -1; finite strings sum to an int."""
-    return _require_vertices(string.entries, graph.radj, graph.adj)
+    return _require_vertices(string._raw, graph.radj, graph.adj)
 
 
 def mu_ordinal(string: OrdinalString) -> MuValue:
@@ -247,7 +302,7 @@ class WitnessPair:
         if not (cset <= string.col_range and all(map(_is_index, cset))):
             raise ValueError("witness cols outside the string's column range")
         # the support graph's vertices are exactly the matrix's rows and columns
-        mu = _require_vertices(string.entries, range(matrix.num_rows), range(matrix.num_cols))
+        mu = _require_vertices(string._raw, range(matrix.num_rows), range(matrix.num_cols))
         r = rank(matrix.submatrix(sorted(rset), sorted(cset)))
         if mu != len(rset) - r:
             raise ValueError(f"witness identity fails: mu {mu} != {len(rset)} - {r}")
@@ -280,10 +335,12 @@ def lemma_witness(matrix: SparseMatrix, string: SaturatedString,
     combination with -1 at j0; scaled so, it is verified against the full
     matrix (``A lam = 0``) and raised as a ``DependentColumnsError``.  With
     no free column every listed column is independent, and the pair is
-    checked before it is returned.
+    checked before it is returned.  Saturation is checked on the matrix's
+    nonzeros, so nothing is built per column of a wide matrix.
     """
-    graph = support_graph(matrix)
-    if not is_saturated(graph, string):
+    raw = string._raw
+    _require_vertices(raw, range(matrix.num_rows), range(matrix.num_cols))
+    if not _saturated_in(matrix, raw):
         raise ValueError("string is not saturated for this matrix")
     base = frozenset(base_rows)
     if not all(map(_is_index, base)):
@@ -291,12 +348,12 @@ def lemma_witness(matrix: SparseMatrix, string: SaturatedString,
     if not base <= string.row_range:
         raise ValueError("base rows must appear in the string")
     running = 0
-    for k, v in enumerate(string.entries):
+    for k, v in enumerate(raw):
         if running < 0:
             raise ValueError(f"mu of the prefix of length {k} is negative")
-        running = _step(running, v)
-    listed_rows = [v.index for v in string.entries if v.is_row]
-    cols = [v.index for v in string.entries if v.is_col]
+        running += 1 if v >= 0 else -1
+    listed_rows = [v for v in raw if v >= 0]
+    cols = [~v for v in raw if v < 0]
     local = _first_kernel_vector(matrix.submatrix(listed_rows, cols))
     if local is None:
         return _self_check(WitnessPair.checked, matrix, string, listed_rows, cols)

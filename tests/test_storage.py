@@ -1,12 +1,12 @@
-"""Raw storage inside ``SparseMatrix`` and ``Vector``.
+"""Raw storage inside ``SparseMatrix``, ``Vector`` and ``SaturatedString``.
 
 Internal builders (``parse_matrix``, ``from_entries``, ``transpose``,
-``submatrix``, and every vector the library returns) skip the public
-constructors' checks, so everything they build must pass those checks
-anyway.  The library computes on the raw cells: the boxed ``rows`` and
-``entries`` views are built only when a caller asks for them.  One index
-rule holds for every public constructor and ``checked`` factory: an index
-is an int, never a float or a bool.
+``submatrix``, ``deficiency_string``, and every vector the library returns)
+skip the public constructors' checks, so everything they build must pass
+those checks anyway.  The library computes on the raw cells and raw
+vertices: the boxed ``rows`` and ``entries`` views are built only when a
+caller asks for them.  One index rule holds for every public constructor
+and ``checked`` factory: an index is an int, never a float or a bool.
 """
 
 import pickle
@@ -168,11 +168,16 @@ _G = SupportGraph([0, 1], [0], [(0, 0), (1, 0)])     # {c0, c1} violates the cov
     lambda: deficiency_string(_G, [True, 0]),
     lambda: lemma_witness(_M, _S, base_rows=[0.0]),
     lambda: lemma_witness(_M, _S, base_rows=[True]),
+    lambda: SaturatedString((("r", 1.0), ("c", True))),
+    lambda: SaturatedString((("c", True),)),
+    lambda: is_saturated(support_graph(_M), [("r", 1.0)]),
+    lambda: is_saturated(support_graph(_M), [Vertex.row(0), ("c", True)]),
 ], ids=["vector-float", "vector-bool", "from_pairs-float", "matrix-float",
         "from_entries-float", "from_entries-bool", "sdr-bool", "sdr-float", "bijection-float",
         "matching-float", "witness-bool", "witness-float", "stream-float", "vertex-bool",
         "vertex-float", "graph-vertex-float", "graph-edge-float", "deficiency-float",
-        "deficiency-bool", "base-row-float", "base-row-bool"])
+        "deficiency-bool", "base-row-float", "base-row-bool", "string-float", "string-bool",
+        "saturated-float", "saturated-bool"])
 def test_public_inputs_refuse_non_int_indices(build):
     """A float or bool equals and hashes like an int index, so without the
     check it passes every lookup and ends up inside the result."""
@@ -298,3 +303,75 @@ def test_library_calls_never_box_vectors(spec, monkeypatch):
     assert _exercise_library(spec, texts, rng)
     with pytest.raises(AssertionError, match="entries were boxed"):
         Vector.from_dense(spec, [1, 0, 2]).entries
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_library_calls_never_box_vertices(spec, monkeypatch):
+    """``deficiency_string``, ``is_saturated``, ``mu_finite`` and
+    ``lemma_witness`` compute on a string's raw vertices; only a caller
+    reading ``entries`` boxes them."""
+    def boxed(self):
+        raise AssertionError("vertices were boxed")
+
+    rng = random.Random(f"raw-only/{spec.modulus}")
+    texts = _matrix_texts(spec, rng)
+    strings = []
+    for text in texts:
+        m = parse_matrix(text)
+        # A public string keeps the entries it was given; copy it raw.
+        strings.append((m, SaturatedString._trusted(gen.random_saturated_string(m, rng)._raw)))
+    monkeypatch.setattr(SaturatedString, "_boxed", boxed)
+    assert _exercise_library(spec, texts, rng)
+    violators = 0
+    for m, s in strings:
+        g = support_graph(m)
+        violator = hall_violator(g)
+        if violator is not None:
+            violators += 1
+            d = deficiency_string(g, violator)
+            assert is_saturated(g, d) and mu_finite(g, d) < 0
+            assert len(d) == len(str(d).split()) and d.prefix(1).row_range <= d.row_range
+        try:
+            pair = lemma_witness(m, s)
+            assert pair.rows == s.row_range and pair.cols == s.col_range
+        except DependentColumnsError:
+            pass
+        assert is_saturated(g, s) and mu_finite(g, s) >= 0
+    assert violators
+    with pytest.raises(AssertionError, match="vertices were boxed"):
+        deficiency_string(_G, [0, 1]).entries
+
+
+def _public(string: SaturatedString) -> SaturatedString:
+    """The same vertices through the public constructor, from their text."""
+    return SaturatedString(tuple(Vertex(t[0], int(t[1:])) for t in str(string).split()))
+
+
+def test_raw_strings_match_their_public_twins():
+    """A string built raw boxes, compares, hashes, prints and pickles as the
+    same vertices given to the public constructor do."""
+    rng = random.Random(2718)
+    built = 0
+    for g in gen.oracle_graphs():
+        violator = hall_violator(g)
+        if violator is None:
+            continue
+        raw = deficiency_string(g, violator)
+        hood = sorted(g.neighbourhood(violator))
+        twin = SaturatedString(tuple([Vertex.row(i) for i in hood]
+                                     + [Vertex.col(j) for j in sorted(violator)]))
+        prefix = raw.prefix(rng.randint(0, len(raw)))
+        for s, public in ((raw, twin), (prefix, _public(prefix))):
+            assert "entries" not in s.__dict__
+            assert s == public and public == s and hash(s) == hash(public)
+            assert str(s) == str(public) and len(s) == len(public)
+            assert s.row_range == public.row_range and s.col_range == public.col_range
+            again = pickle.loads(pickle.dumps(s))
+            assert again == public and hash(again) == hash(public)
+            view = s.entries
+            assert type(view) is tuple and all(type(v) is Vertex for v in view)
+            assert view == public.entries and list(s) == list(public)
+            assert repr(s) == repr(public) and s.entries is view    # boxed once, then cached
+            assert again.entries == view and str(again) == str(s)
+            built += 1
+    assert built > 200

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,8 +12,8 @@ import thincert.strings
 from thincert import (DependentColumnsError, FieldSpec, OmegaBlock,
                       OrdinalString, SaturatedString, SparseMatrix, Vector,
                       Vertex, WitnessPair, is_saturated, lemma_witness, mu_finite,
-                      mu_ordinal, parse_string_literal, parse_vertex, rank, solve,
-                      support_graph, unlisted_rows_vanish, unsolvable_core)
+                      mu_ordinal, parse_matrix, parse_string_literal, parse_vertex, rank,
+                      solve, support_graph, unlisted_rows_vanish, unsolvable_core)
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.gf(2)
@@ -103,6 +104,20 @@ def test_is_saturated_accepts_raw_sequences_and_repeats():
     assert not is_saturated(g, [Vertex.row(0), Vertex.col(0), Vertex.col(0)])
 
 
+@pytest.mark.parametrize("entry", [("x", 0), ("row", 0), ("r", -1), ("c", -2), ("c", "0")],
+                         ids=["side-x", "side-row", "row-negative", "col-negative", "index-str"])
+def test_strings_refuse_what_vertex_refuses(entry):
+    """A string's raw form encodes column j as ~j, so a side other than r
+    or c, or a negative index, would read as some other vertex."""
+    g = support_graph(SparseMatrix.from_dense(QQ, [[1]]))
+    with pytest.raises(ValueError):
+        Vertex(*entry)
+    with pytest.raises(ValueError):
+        SaturatedString((Vertex.row(0), entry))
+    with pytest.raises(ValueError):
+        is_saturated(g, [Vertex.row(0), entry])
+
+
 WIDE = [[1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0]]   # rows 0-2, columns 0-3
 TALL = [list(col) for col in zip(*WIDE)]           # rows 0-3, columns 0-2
 
@@ -129,6 +144,30 @@ def test_unknown_vertices_are_named_in_string_order(grid, tokens, offender):
     cols = [v.index for v in entries if v.is_col]
     with pytest.raises(ValueError, match=message):
         WitnessPair.checked(m, s, rows, cols)
+    with pytest.raises(ValueError, match=message):
+        lemma_witness(m, s)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)])
+def test_lemma_witness_saturation_equals_the_graph_check(rows, cols):
+    """``lemma_witness`` checks saturation on the matrix's nonzeros, with no
+    support graph: on every GF(2) matrix of the shape and every string of
+    distinct vertices, it refuses the string as unsaturated exactly when
+    ``is_saturated`` on the support graph says False."""
+    refused = 0
+    for grid in itertools.product([0, 1], repeat=rows * cols):
+        m = SparseMatrix.from_dense(GF2, [grid[i * cols:(i + 1) * cols] for i in range(rows)])
+        g = support_graph(m)
+        vertices = [Vertex.row(i) for i in range(rows)] + [Vertex.col(j) for j in range(cols)]
+        for k in range(len(vertices) + 1):
+            for entries in itertools.permutations(vertices, k):
+                s = SaturatedString(entries)
+                assert thincert.strings._saturated_in(m, s._raw) == is_saturated(g, s)
+                if not is_saturated(g, s):
+                    refused += 1
+                    with pytest.raises(ValueError, match="^string is not saturated"):
+                        lemma_witness(m, s)
+    assert refused
 
 
 def test_generated_strings_are_saturated():
@@ -295,6 +334,23 @@ def test_lemma_witness_rejects_bad_hypotheses():
     m2 = SparseMatrix.from_dense(QQ, [[0]])
     with pytest.raises(ValueError, match="negative"):
         lemma_witness(m2, SaturatedString.of("c0", "r0"))
+
+
+def test_lemma_witness_memory_follows_the_string_not_the_width():
+    """A two-vertex string over a 3 x 2,000,000 matrix with one entry: no
+    structure is built per column (the matrix's support graph alone takes
+    over 150 MB)."""
+    m = parse_matrix("field gf 5\n3 2000000\n0 5 1\n")
+    tracemalloc.start()
+    try:
+        pair = lemma_witness(m, SaturatedString.of("r0", "c5"))
+        with pytest.raises(ValueError, match="not saturated"):
+            lemma_witness(m, SaturatedString.of("c5", "r0"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair == WitnessPair(frozenset({0}), frozenset({5}))
+    assert peak < 1 << 20
 
 
 def test_lemma_witness_random_agreement():
