@@ -57,6 +57,12 @@ class Vertex(NamedTuple("Vertex", [("side", str), ("index", int)])):
         return tuple.__new__(cls, (side, index))
 
     @classmethod
+    def _make(cls, iterable: Iterable) -> "Vertex":
+        # ``NamedTuple``'s own ``_make``, which ``_replace`` calls, builds
+        # through ``tuple.__new__`` and would skip the check.
+        return cls(*iterable)
+
+    @classmethod
     def col(cls, j: int) -> "Vertex":
         return cls("c", j)
 

@@ -13,12 +13,11 @@ import argparse
 import math
 import sys
 
-from .bigraph import support_graph
 from .certify import Bijection, Sdr, certify_columns, diagonalize
 from .files import parse_field_token, parse_matrix, parse_stream_row
 from .linalg import SparseMatrix, Vector, kernel_basis, rank, solve
-from .strings import (MuValue, OrdinalString, SaturatedString, is_saturated,
-                      lemma_witness, mu_finite, mu_ordinal, parse_string_literal,
+from .strings import (MuValue, OrdinalString, SaturatedString, _require_vertices,
+                      _saturated_in, lemma_witness, mu_ordinal, parse_string_literal,
                       parse_vertex)
 from .stream import StreamState
 
@@ -95,9 +94,9 @@ def _cmd_mu(args: argparse.Namespace) -> int:
     if isinstance(string, OrdinalString):
         print(f"mu = {_format_mu(mu_ordinal(string))}")
         return 0
-    graph = support_graph(matrix)
-    value = mu_finite(graph, string)
-    flag = "true" if is_saturated(graph, string) else "false"
+    # Read off the matrix's nonzeros, as lemma_witness does: no support graph.
+    value = _require_vertices(string._raw, range(matrix.num_rows), range(matrix.num_cols))
+    flag = "true" if _saturated_in(matrix, string._raw) else "false"
     print(f"mu = {value}, saturated = {flag}")
     return 0
 

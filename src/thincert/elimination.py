@@ -7,13 +7,18 @@ it was reduced by with their field-valued multipliers, and one scale, so
 that the stored row is ``scale * (row own - sum of combo[c] * pivot row c)``.
 A row that vanishes with a nonzero right-hand side expands its trail once
 into the refutation combination of original rows.  ``linalg`` keeps no
-trail: it reads a refutation off a kernel vector of the transpose.
+trail: it reads a refutation off an elimination of the transpose of the rows
+the combination can use.
 Elimination is forward only: a row is reduced while its lowest column has a
 pivot, and the first column without one leads it; pivot columns above the
 lead are left for back-substitution and ``reduced_pivots``.  Pivot columns
 are those of the unique reduced echelon form, so they, ``reduced_pivots``,
 ``kernel_vector`` and ``solution`` do not depend on row order; only a
-refutation combination does.
+refutation combination does.  They do depend on the order of the column
+labels, which the caller chooses: ``linalg`` labels columns in a
+fill-reducing order, and then feeds kernel vectors to a second eliminator
+under labels that reverse the column order, whose ``reduced_pivots`` are the
+index-order kernel vectors.  ``StreamState`` labels each column by its index.
 
 One loop reduces over both fields on plain ``int`` values, by the
 fraction-free step ``row = a*row - b*pivot`` with ``a`` the pivot's lead.

@@ -4,13 +4,22 @@ Every answer that leaves this module is re-checked against its defining
 equation before it is returned: solutions multiply back, kernel vectors
 annihilate the matrix, and unsolvability certificates are verified left
 null combinations with a nonzero right-hand side.
+
+The canonical answers are defined by the reduced echelon form in
+column-index order, but each matrix is eliminated once, in a fill-reducing
+column order (``_feed_all``).  Rank, solvability and the kernel do not
+depend on that order; the index-order kernel vectors are rebuilt from the
+kernel (``_index_order_kernel``), and solutions from them.  A refutation
+depends on row order only, and is found by feeding the rows in index order
+(``_refutation``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress, count
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
@@ -396,22 +405,57 @@ def _self_check(factory, *args):
         raise AssertionError(f"self-check failed: {exc}") from exc
 
 
-def _feed_all(matrix: SparseMatrix, rhs: Vector | None) -> tuple[Eliminator, bool]:
-    """Feed rows, sparsest first, until the first contradiction, and say
-    whether there was one.  Empty rows are fed only with a nonzero right-hand
-    side, and first.  Pivot columns, the reduced echelon form and the
-    free-variables-zero solution do not depend on row order; no trail is
-    kept, since a refutation is read off the transpose (``_refutation``)."""
+def _column_labels(rows: Sequence[Mapping[int, Raw]], nonempty: list[int]) -> dict[int, int]:
+    """``{column: label}`` in label order: the nonempty columns, counted over
+    the ``nonempty`` rows only, labelled 0, 1, ... by ascending nonzero
+    count, ties by index.  This is the fill-reducing order every
+    elimination here uses."""
+    counts = Counter(chain.from_iterable(map(rows.__getitem__, nonempty)))
+    return {j: g for g, j in enumerate(sorted(sorted(counts), key=counts.__getitem__))}
+
+
+def _feed_all(matrix: SparseMatrix, rhs: Vector | None) -> tuple[Eliminator, dict[int, int], bool]:
+    """Feed rows, sparsest first, until the first contradiction, to an
+    eliminator under ``_column_labels``, and say whether there was a
+    contradiction; the labels are returned too.
+
+    Empty rows are fed only with a nonzero right-hand side, and first.  Rank,
+    solvability and the kernel depend on neither the column order nor the
+    row order; the index-order answers are rebuilt from the kernel
+    (``_index_order_kernel``).  No trail is kept: ``_refutation`` needs
+    none."""
+    rows = matrix._cells
+    nonempty = list(compress(range(len(rows)), rows))
+    label = _column_labels(rows, nonempty)
     elim = Eliminator(matrix.spec, track=False)
     rhs_cells = rhs._cells if rhs is not None else {}
-    rows, zero = matrix._cells, matrix.spec.zero
+    zero = matrix.spec.zero
     # 0 = 0 rows leave the echelon form as it is, so they are never fed.
-    order = [i for i in rhs_cells if not rows[i]] + sorted(
-        compress(range(len(rows)), rows), key=lambda i: len(rows[i]))
+    order = [i for i in rhs_cells if not rows[i]] + sorted(nonempty, key=lambda i: len(rows[i]))
     for i in order:
-        if elim.feed(rows[i], rhs_cells.get(i, zero)) is not None:
-            return elim, True
-    return elim, False
+        if elim.feed({label[j]: v for j, v in rows[i].items()},
+                     rhs_cells.get(i, zero)) is not None:
+            return elim, label, True
+    return elim, label, False
+
+
+def _index_order_kernel(elim: Eliminator, label: dict[int, int]) -> dict[int, dict[int, Raw]]:
+    """The kernel vectors of the index-order reduced echelon form on the
+    nonempty columns, ``{f: cells}`` with the free columns f ascending.
+
+    Such a v_f is one at f, zero at every other free column, and lives on f
+    and the pivot columns below it, so the v_f, read in descending column
+    order, are the unique reduced echelon form of the kernel.  Any kernel
+    basis gives them: ``elim``'s kernel vectors (``label`` as ``_feed_all``
+    returns it) are fed to a second eliminator under label -j for column j,
+    and reduced."""
+    spec, cols = elim.spec, list(label)
+    rebuild = Eliminator(spec, track=False)
+    for g in range(len(cols)):
+        if g not in elim.pivots:
+            rebuild.feed({-cols[c]: v for c, v in elim.kernel_vector(g).items()}, spec.zero)
+    return {-c: {-cc: v for cc, v in row.items()}
+            for c, row in rebuild.reduced_pivots().items()}
 
 
 def _normalized(spec: FieldSpec, length: int, cells: dict[int, Raw]) -> Vector:
@@ -422,29 +466,28 @@ def _normalized(spec: FieldSpec, length: int, cells: dict[int, Raw]) -> Vector:
 
 def rank(matrix: SparseMatrix) -> int:
     """Rank of the matrix, by deterministic sparse elimination."""
-    elim, _ = _feed_all(matrix, None)
+    elim, _, _ = _feed_all(matrix, None)
     return elim.rank
 
 
 def kernel_basis(matrix: SparseMatrix) -> list[Vector]:
     """Canonical basis of the right kernel, one vector per free column.
 
-    Vectors are derived from the unique reduced echelon form and scaled so
-    their lowest-index nonzero entry is one; each one is verified to satisfy
-    A v = 0 exactly before being returned.
+    Vectors are derived from the unique reduced echelon form in column-index
+    order, e_j for an empty column j, and scaled so their lowest-index
+    nonzero entry is one; each one is verified to satisfy A v = 0 exactly
+    before being returned.
     """
     spec = matrix.spec
-    elim, _ = _feed_all(matrix, None)
-    reduced = elim.reduced_pivots()
+    elim, label, _ = _feed_all(matrix, None)
+    kernel = _index_order_kernel(elim, label)
     basis = []
     for free in range(matrix.num_cols):
-        if free in reduced:
-            continue
-        cells: dict[int, Raw] = {free: spec.one}
-        for piv, row in reduced.items():
-            v = row.get(free)
-            if v is not None:
-                cells[piv] = spec.neg(v)
+        cells = kernel.get(free)
+        if cells is None:
+            if free in label:
+                continue
+            cells = {free: spec.one}
         vec = _normalized(spec, matrix.num_cols, cells)
         if not matrix.mul_vector(vec).is_zero:
             raise AssertionError("kernel vector failed verification")
@@ -454,14 +497,25 @@ def kernel_basis(matrix: SparseMatrix) -> list[Vector]:
 
 def _first_kernel_vector(matrix: SparseMatrix) -> Vector | None:
     """``kernel_basis(matrix)[0]`` without the rest of the basis, or None
-    when the kernel is trivial: only the lowest free column is
-    back-substituted.  It is not verified here; the certificate built from
-    it verifies it."""
-    elim, _ = _feed_all(matrix, None)
-    if elim.rank == matrix.num_cols:
+    when the kernel is trivial: v_f at the lowest free column f, e_f if f
+    is empty.  It is not verified here; the certificate built from it
+    verifies it.
+
+    Columns 0, ..., f-1 are independent, so f is at most the number of
+    nonempty rows, and v_f lives on columns up to f: a wider matrix is cut
+    to its first (nonempty rows + 1) columns, whose kernel is smaller."""
+    cells = matrix._cells
+    rows = list(compress(range(len(cells)), cells))
+    width = min(len(rows) + 1, matrix.num_cols)
+    part = matrix if width == matrix.num_cols else matrix.submatrix(rows, range(width))
+    elim, label, _ = _feed_all(part, None)
+    if elim.rank == width:
         return None
-    free = next(j for j in range(matrix.num_cols) if j not in elim.pivots)
-    return _normalized(matrix.spec, matrix.num_cols, elim.kernel_vector(free))
+    empty = next(j for j in count() if j not in label)
+    kernel = _index_order_kernel(elim, label)
+    free = next(iter(kernel), width)
+    cells = {empty: matrix.spec.one} if empty < free else kernel[free]
+    return _normalized(matrix.spec, matrix.num_cols, cells)
 
 
 def _check_rhs(matrix: SparseMatrix, rhs: Vector) -> None:
@@ -473,25 +527,42 @@ def _check_rhs(matrix: SparseMatrix, rhs: Vector) -> None:
 
 def _refutation(matrix: SparseMatrix, rhs: Vector) -> UnsolvabilityCertificate | None:
     """The checked certificate of an unsolvable A x = b, or None if b lies in
-    the column space: A^T is eliminated, b is fed as one more row, and y is
-    A^T's ``kernel_vector(k)`` at b's lead k, normalized.
+    the column space: the y a trail through A's rows in the given order would
+    give, normalized.
 
-    That is the y a trail through A's rows in the given order would give.  Let
-    k be the first row whose prefix is unsolvable.  The trail combines row k,
-    with coefficient one, with only the earlier rows that raised the rank;
-    they are independent, so that y is unique.  They are the pivot columns
-    below k of the reduced echelon form of A^T, which does not depend on row
-    order.  Column k is the first where (a_k; b_k) is independent of the
-    earlier columns while a_k alone is not, so reduced b leads at k, and
-    ``kernel_vector(k)`` uses only the pivots below k."""
-    elim, _ = _feed_all(matrix.transpose(), None)
-    before = elim.rank
-    elim.feed(rhs._cells, matrix.spec.zero)
-    if elim.rank == before:
+    Let k be the first row whose prefix is unsolvable.  The trail combines
+    row k, with coefficient one, with only the earlier rows that raised the
+    rank; they are independent, so that y is unique.  No trail is kept: the
+    rows are fed in index order, without provenance, until row k, noting the
+    rows that raised the rank.  Row k lies in their span, so those rows and
+    row k have a one-dimensional left kernel, and y spans it: it is read off
+    one elimination of their transpose.  An empty row k (b_k nonzero) gives
+    y = e_k.  y is also v_k, A^T's index-order kernel vector at k."""
+    spec, rows, b = matrix.spec, matrix._cells, rhs._cells
+    nonempty = list(compress(range(len(rows)), rows))
+    label = _column_labels(rows, nonempty)
+    elim = Eliminator(spec, track=False)
+    raised = []
+    # 0 = 0 rows leave the echelon form as it is, so they are never fed.
+    for k in sorted(chain(nonempty, (i for i in b if not rows[i]))):
+        before = elim.rank
+        if elim.feed({label[j]: v for j, v in rows[k].items()}, b.get(k, spec.zero)) is not None:
+            break
+        if elim.rank > before:
+            raised.append(k)
+    else:
         return None
-    y = elim.kernel_vector(next(reversed(elim.pivots)))     # b's lead is the newest pivot
+    y = {k: spec.one}
+    if rows[k]:
+        part = [*raised, k]
+        sub = SparseMatrix._trusted(spec, len(part), matrix.num_cols,
+                                    dict(enumerate(map(rows.__getitem__, part))))
+        elim, label, _ = _feed_all(sub.transpose(), None)
+        free = next(g for g in count() if g not in elim.pivots)     # the only one
+        cols = list(label)
+        y = {part[cols[g]]: v for g, v in elim.kernel_vector(free).items()}
     return _self_check(UnsolvabilityCertificate.checked,
-                       matrix, rhs, _normalized(matrix.spec, matrix.num_rows, y))
+                       matrix, rhs, _normalized(spec, matrix.num_rows, y))
 
 
 def _verified_solution(matrix: SparseMatrix, rhs: Vector, x: dict[int, Raw]) -> Vector:
@@ -505,16 +576,25 @@ def _verified_solution(matrix: SparseMatrix, rhs: Vector, x: dict[int, Raw]) -> 
 def solve(matrix: SparseMatrix, rhs: Vector) -> Vector | UnsolvabilityCertificate:
     """Solve A x = b exactly, or certify that no solution exists.
 
-    A solution has every free variable zero and multiplies back to b.  An
-    unsolvability certificate is scaled so its lowest-index nonzero entry is
-    one and is verified before being returned.  It is a kernel vector of the
-    transpose (``_refutation``); no elimination keeps a trail.
+    A solution is zero at every free column of the column-index order and
+    multiplies back to b.  An unsolvability certificate is scaled so its
+    lowest-index nonzero entry is one and is verified before being returned.
+    It is a kernel vector of the transpose (``_refutation``); no elimination
+    keeps a trail.
     """
     _check_rhs(matrix, rhs)
-    elim, refuted = _feed_all(matrix, rhs)
+    elim, label, refuted = _feed_all(matrix, rhs)
     if refuted:
         return _refutation(matrix, rhs)
-    return _verified_solution(matrix, rhs, elim.solution())
+    # The relabelled elimination's solution x0 is zero at its own free
+    # columns; x0 - sum of x0_f v_f is zero at the index-order ones.
+    spec, cols = matrix.spec, list(label)
+    x = {cols[c]: v for c, v in elim.solution().items()}
+    for f, v in _index_order_kernel(elim, label).items():
+        if (xf := x.get(f)) is not None:
+            for j, w in v.items():
+                x[j] = spec.sub(x.get(j, spec.zero), spec.mul(xf, w))
+    return _verified_solution(matrix, rhs, x)
 
 
 def unsolvable_core(matrix: SparseMatrix, rhs: Vector, minimize: bool = False) -> frozenset[int]:

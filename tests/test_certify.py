@@ -8,7 +8,7 @@ import gen
 import thincert.certify
 from thincert import (Bijection, Dependence, FieldSpec, Matching, Sdr, SparseMatrix,
                       Vector, cantor_bernstein_merge, certify_columns, diagonalize,
-                      hall_violator, kernel_basis, support_graph)
+                      hall_violator, kernel_basis, rank, support_graph)
 from thincert.elimination import Eliminator
 
 QQ = FieldSpec.rationals()
@@ -304,14 +304,24 @@ def square_hall(spec, rng, n, k):
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_violator_first_eliminates_only_its_submatrix(spec, monkeypatch):
-    """With a Hall violator, ``via_violator`` builds one Eliminator and feeds
-    it the nonempty rows of the violator's submatrix, nothing else."""
-    fed = []
+    """With a Hall violator, ``via_violator`` eliminates the violator's
+    submatrix and nothing else: one Eliminator is fed the nonempty rows of
+    that submatrix, under its column labels, and one more is fed kernel
+    vectors of the submatrix (the rebuild of its index-order kernel)."""
+    fed, eliminated = [], []
     init, feed = Eliminator.__init__, Eliminator.feed
+    feed_all = thincert.linalg._feed_all
     monkeypatch.setattr(Eliminator, "__init__",
                         lambda self, *a, **kw: fed.append([]) or init(self, *a, **kw))
     monkeypatch.setattr(Eliminator, "feed",
                         lambda self, cells, rhs: fed[-1].append(dict(cells)) or feed(self, cells, rhs))
+
+    def spy_feed_all(matrix, rhs):
+        out = feed_all(matrix, rhs)
+        eliminated.append((matrix, list(out[1])))     # the matrix and its column at each label
+        return out
+
+    monkeypatch.setattr(thincert.linalg, "_feed_all", spy_feed_all)
     key = lambda cells: sorted(cells.items())
     rng = random.Random(f"square-hall/{spec.modulus}")
     for _ in range(10):
@@ -319,13 +329,22 @@ def test_violator_first_eliminates_only_its_submatrix(spec, monkeypatch):
         graph = support_graph(m)
         violator = hall_violator(graph)
         sub = m.submatrix(sorted(graph.neighbourhood(violator)), sorted(violator))
+        nonempty_cols = {j for i in range(sub.num_rows) for j in sub.raw_row(i)}
+        nullity = len(nonempty_cols) - rank(sub)
         fed.clear()
+        eliminated.clear()
         cert = certify_columns(m, via_violator=True)
         assert isinstance(cert, Dependence) and cert.vector.support <= violator
-        assert len(fed) == 1
-        assert sorted(fed[0], key=key) == sorted(
+        [(matrix, cols)] = eliminated
+        assert matrix == sub
+        rows, kernel = fed
+        assert sorted(({cols[g]: v for g, v in cells.items()} for cells in rows), key=key) == sorted(
             (sub.raw_row(i) for i in range(sub.num_rows) if sub.rows[i]), key=key)
-        assert len(fed[0]) < m.num_rows
+        assert len(rows) < m.num_rows
+        assert len(kernel) == nullity
+        for cells in kernel:
+            v = Vector.from_pairs(spec, sub.num_cols, ((-c, x) for c, x in cells.items()))
+            assert not v.is_zero and sub.mul_vector(v).is_zero
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)

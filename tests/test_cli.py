@@ -93,6 +93,25 @@ def test_mu_finite(matrix_file, capsys):
     assert capsys.readouterr().out == "mu = 1, saturated = false\n"
 
 
+def test_mu_builds_no_support_graph(matrix_file, capsys, monkeypatch):
+    """mu and saturation are read off the nonzeros, so two million columns
+    cost nothing per column; unknown vertices are refused as before."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("support graph built")
+
+    monkeypatch.setattr(thincert.bigraph.SupportGraph, "__init__", refuse)
+    monkeypatch.setattr(thincert.bigraph.SupportGraph, "_index", refuse)
+    path = matrix_file("field gf 5\n3 2000000\n0 5 1\n")
+    for string, out in (("r0 c5", "mu = 0, saturated = true\n"),
+                        ("c5 r0", "mu = 0, saturated = false\n"),
+                        ("r2 r1 c1999999", "mu = 1, saturated = true\n")):
+        assert main(["mu", path, string]) == 0
+        assert capsys.readouterr().out == out
+    for string, vertex in (("r0 c2000000", "c2000000"), ("r3 c5", "r3")):
+        assert main(["mu", path, string]) == 2
+        assert capsys.readouterr().err == f"error: vertex {vertex} is not in the graph\n"
+
+
 def test_mu_ordinal(matrix_file, capsys):
     path = matrix_file(INDEPENDENT)
     assert main(["mu", path, "[c0]*"]) == 0

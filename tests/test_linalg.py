@@ -1,6 +1,7 @@
 """Sparse exact linear algebra: rank, kernels, solving, refutation cores."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import gen
 from thincert import (FieldSpec, SparseMatrix, UnsolvabilityCertificate, Vector,
                       kernel_basis, rank, solve, unsolvable_core)
+from thincert import linalg
 from thincert.elimination import Eliminator
 from thincert.linalg import _feed_all, _first_kernel_vector
 
@@ -387,12 +389,20 @@ def test_unsolvable_core_is_unsolvable_in_isolation():
         assert isinstance(solve(sub, sub_rhs), UnsolvabilityCertificate)
 
 
+def refutation_rows(m: SparseMatrix, k: int) -> list[int]:
+    """The rows before k that raise the rank of the rows before them, and k."""
+    ranks = [rank(m.submatrix(range(i), range(m.num_cols))) for i in range(k + 1)]
+    return [i for i in range(k) if ranks[i + 1] > ranks[i]] + [k]
+
+
 def test_unsolvable_core_checks_the_certificate_without_eliminating(monkeypatch):
-    # The core is the support of a certificate that comes from one
-    # elimination of the transpose: a core costs one Eliminator, a refuted
-    # solve two (its rows, then the transpose).
-    built = []
-    init = Eliminator.__init__
+    # The core is the support of a certificate that comes from feeding the
+    # rows in index order up to the first unsolvable prefix, at row k, and
+    # one elimination of the transpose of the rows that raised the rank and
+    # row k: a core costs those two Eliminators, a refuted solve one more
+    # (its rows, sparsest first).  No elimination re-checks the certificate.
+    eliminated, built = [], []
+    init, feed_all = Eliminator.__init__, linalg._feed_all
 
     def counting(self, *args, **kwargs):
         built.append(self)
@@ -404,17 +414,25 @@ def test_unsolvable_core_checks_the_certificate_without_eliminating(monkeypatch)
         spec = rng.choice(FIELDS)
         m = gen.dependent_cols_matrix(spec, rng, max_rows=9, max_cols=6)
         rhs = Vector.from_dense(spec, [gen.rand_scalar(spec, rng) for _ in range(m.num_rows)])
-        if isinstance(solve(m, rhs), Vector):
+        out = solve(m, rhs)
+        if isinstance(out, Vector):
             continue
+        k = max(out.y.support)
+        part = m.submatrix(refutation_rows(m, k), range(m.num_cols))
+        if not part.raw_row(part.num_rows - 1):
+            continue        # an empty row k gives y = e_k, with no elimination
         hits += 1
         with monkeypatch.context() as mp:
             mp.setattr(Eliminator, "__init__", counting)
-            built.clear()
-            solve(m, rhs)
-            solved = len(built)
-            built.clear()
-            unsolvable_core(m, rhs)
-            assert len(built) == 1 < solved == 2
+            mp.setattr(linalg, "_feed_all", lambda matrix, rhs: (
+                eliminated.append(matrix), feed_all(matrix, rhs))[1])
+            for run, matrices in ((solve, [m, part.transpose()]),
+                                  (unsolvable_core, [part.transpose()])):
+                eliminated.clear()
+                built.clear()
+                run(m, rhs)
+                assert eliminated == matrices
+                assert len(built) == len(matrices) + 1
 
 
 def test_unsolvable_core_checks_its_certificate_once(monkeypatch):
@@ -476,35 +494,69 @@ def eliminators(monkeypatch):
     return made
 
 
+def column_order(m: SparseMatrix) -> list[int]:
+    """The nonempty columns by ascending nonzero count, ties by index."""
+    counts = Counter(j for i in range(m.num_rows) for j in m.raw_row(i))
+    return sorted(counts, key=lambda j: (counts[j], j))
+
+
+def relabelled(cells: dict, order: list[int]) -> dict:
+    """``cells`` with column ``order[g]`` renamed g."""
+    label = {j: g for g, j in enumerate(order)}
+    return {label[j]: v for j, v in cells.items()}
+
+
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_solve_tracks_provenance_only_to_refute(spec, eliminators):
-    """A solve builds no tracked Eliminator.  A consistent one builds one,
-    fed sparsest row first; a refuted one builds a second over the
-    transpose, fed its nonempty rows sparsest first and then b."""
+    """A solve builds no tracked Eliminator.  The first is fed the rows
+    sparsest first, under the column labels.  A refuted solve's second is
+    fed the rows in index order, under the same labels and with b, and stops
+    at the first unsolvable prefix, row k; unless row k is empty, a third is
+    fed the transpose of the rows that raised the rank and row k, sparsest
+    first under its own labels.  A consistent solve builds at most one more,
+    which rebuilds the kernel: it is fed kernel vectors of A, with column j
+    under label -j."""
     rng = random.Random(f"tracked/{spec.modulus}")
-    kinds = set()
+    kinds, rebuilt, transposed = set(), 0, 0
     for _ in range(30):
         m = gen.dependent_cols_matrix(spec, rng, max_rows=10, max_cols=8)
         rhs = Vector.from_dense(spec, [gen.rand_scalar(spec, rng) for _ in range(m.num_rows)])
         eliminators.clear()
-        refuted = isinstance(solve(m, rhs), UnsolvabilityCertificate)
+        out = solve(m, rhs)
+        made = list(eliminators)    # before the checks below build their own
+        refuted = isinstance(out, UnsolvabilityCertificate)
         kinds.add(refuted)
-        assert [elim.track for elim, _ in eliminators] == [False] * (1 + refuted)
-        lengths = [len(cells) for cells, _ in eliminators[0][1]]
+        assert not any(elim.track for elim, _ in made)
+        lengths = [len(cells) for cells, _ in made[0][1]]
         assert lengths == sorted(lengths)
+        b, order = rhs.raw_cells(), column_order(m)
         if refuted:
-            t = m.transpose()
-            *fed, last = eliminators[1][1]
-            assert fed == sorted([(t.raw_row(j), spec.zero) for j in range(t.num_rows)
-                                  if t.raw_row(j)], key=lambda row: len(row[0]))
-            assert last == (rhs.raw_cells(), spec.zero)
-    assert kinds == {True, False}
+            k = max(out.y.support)
+            assert made[1][1] == [(relabelled(m.raw_row(i), order), b.get(i, spec.zero))
+                                  for i in range(k + 1) if m.raw_row(i) or i in b]
+            part = m.submatrix(refutation_rows(m, k), range(m.num_cols)).transpose()
+            third = [sorted([(relabelled(part.raw_row(j), column_order(part)), spec.zero)
+                             for j in range(part.num_rows) if part.raw_row(j)],
+                            key=lambda row: len(row[0]))] if m.raw_row(k) else []
+            assert [fed for _, fed in made[2:]] == third
+            transposed += bool(third)
+            continue
+        rebuilds = made[1:]
+        assert len(rebuilds) <= 1
+        for _, fed in rebuilds:
+            rebuilt += 1
+            for cells, b in fed:
+                v = Vector.from_pairs(spec, m.num_cols, ((-c, x) for c, x in cells.items()))
+                assert b == spec.zero and not v.is_zero and m.mul_vector(v).is_zero
+    assert kinds == {True, False} and rebuilt >= 5 and transposed >= 5
 
 
 def test_refuted_solve_feeds_only_rows_that_can_matter(monkeypatch):
     """Two million empty rows and one nonzero right-hand side, on the last
-    row: a refuted ``solve`` feeds that one row, then b to an elimination of
-    the empty transpose, and nothing else."""
+    row: a refuted ``solve`` feeds that one row, once to find the system
+    unsolvable and once to find the first unsolvable prefix, and nothing
+    else.  That row is empty, so the certificate is e_k with no elimination
+    of the transpose."""
     n = 2_000_000
     fed = []
     feed = Eliminator.feed
@@ -512,7 +564,7 @@ def test_refuted_solve_feeds_only_rows_that_can_matter(monkeypatch):
         fed.append((self, dict(cells), rhs)), feed(self, cells, rhs))[1])
     m = SparseMatrix.from_entries(GF5, n, 3, {})
     out = solve(m, Vector.from_pairs(GF5, n, [(n - 1, 3)]))
-    assert [(cells, rhs) for _, cells, rhs in fed] == [({}, 3), ({n - 1: 3}, 0)]
+    assert [(cells, rhs) for _, cells, rhs in fed] == [({}, 3), ({}, 3)]
     assert fed[0][0] is not fed[1][0] and not fed[0][0].track and not fed[1][0].track
     assert isinstance(out, UnsolvabilityCertificate)
     assert out.y == Vector.from_pairs(GF5, n, [(n - 1, 1)])
@@ -520,14 +572,16 @@ def test_refuted_solve_feeds_only_rows_that_can_matter(monkeypatch):
 
 @pytest.mark.parametrize("spec", FIELDS, ids=str)
 def test_untracked_feed_order_matches_comprehension(spec, monkeypatch):
-    """``_feed_all`` feeds the empty rows with a nonzero right-hand side,
-    then the nonempty rows stably by length: the order of the comprehension
-    over every row that it replaced.  A nonempty row is told by the identity
-    of its stored cells, an empty one by its right-hand side."""
+    """``_feed_all`` labels the nonempty columns by ascending nonzero count,
+    ties by index, and feeds the empty rows with a nonzero right-hand side,
+    then the nonempty rows stably by length, under those labels: the order
+    of the comprehension over every row that it replaced.  Rows of one
+    length are told apart by their cells, so a swap of two different ones
+    shows."""
     fed = []
-    monkeypatch.setattr(Eliminator, "feed", lambda self, cells, rhs: fed.append((id(cells), rhs)))
+    monkeypatch.setattr(Eliminator, "feed", lambda self, cells, rhs: fed.append((cells, rhs)))
     rng = random.Random(f"feed-order/{spec.modulus}")
-    empty_with_rhs = empty_without_rhs = 0
+    empty_with_rhs = empty_without_rhs = empty_cols = 0
     for _ in range(40):
         r, c = rng.randint(1, 14), rng.randint(1, 6)
         entries = {(rng.randrange(r), rng.randrange(c)): gen.rand_nonzero(spec, rng)
@@ -535,18 +589,22 @@ def test_untracked_feed_order_matches_comprehension(spec, monkeypatch):
         m = SparseMatrix.from_entries(spec, r, c, entries)
         rhs = Vector.from_dense(spec, [gen.rand_scalar(spec, rng) if rng.random() < 0.5
                                        else spec.zero for _ in range(r)])
+        order = column_order(m)
+        empty_cols += c - len(order)
         for b in (None, rhs):
             rhs_cells = b.raw_cells() if b is not None else {}
             rows = m.rows
             expected = sorted([i for i, row in enumerate(rows) if row or i in rhs_cells],
                               key=lambda i: len(rows[i]))
             fed.clear()
-            _feed_all(m, b)
-            assert fed == [(id(m._cells[i]), rhs_cells.get(i, spec.zero)) for i in expected]
+            _, label, _ = _feed_all(m, b)
+            assert list(label) == order
+            assert fed == [(relabelled(m.raw_row(i), order), rhs_cells.get(i, spec.zero))
+                           for i in expected]
             empty = [i for i, row in enumerate(rows) if not row]
             empty_with_rhs += sum(i in rhs_cells for i in empty)
             empty_without_rhs += sum(i not in rhs_cells for i in empty)
-    assert empty_with_rhs >= 10 and empty_without_rhs >= 10
+    assert empty_with_rhs >= 10 and empty_without_rhs >= 10 and empty_cols >= 10
 
 
 def reference_refutation(m: SparseMatrix, rhs: Vector) -> Vector | None:
@@ -592,8 +650,8 @@ def refutation_cases(spec: FieldSpec, rng: random.Random):
 
 @pytest.mark.parametrize("spec", [GF2, GF5, FieldSpec.gf(1000003), QQ], ids=str)
 def test_refutations_match_a_tracked_elimination_in_row_order(spec):
-    """``solve``'s certificate and ``unsolvable_core``'s core, read off the
-    transpose, equal those of a tracked elimination of the rows in order."""
+    """``solve``'s certificate and ``unsolvable_core``'s core, found with no
+    trail, equal those of a tracked elimination of the rows in order."""
     rng = random.Random(f"transpose-refutation/{spec.modulus}")
     refuted = {0: 0, 1: 0, 2: 0}
     for kind, m, rhs in refutation_cases(spec, rng):

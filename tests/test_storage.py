@@ -162,6 +162,9 @@ _G = SupportGraph([0, 1], [0], [(0, 0), (1, 0)])     # {c0, c1} violates the cov
     lambda: StreamState(GF5).push([(1.0, _EL)], _EL),
     lambda: Vertex("c", True),
     lambda: Vertex("r", 1.0),
+    lambda: Vertex._make(("x", 1.0)),
+    lambda: Vertex._make(("c", 1.0)),
+    lambda: Vertex.row(1)._replace(index=True),
     lambda: SupportGraph([1.0], [0], []),
     lambda: SupportGraph([0, 1], [0], [(1.0, 0)]),
     lambda: deficiency_string(_G, [1.0, 0]),
@@ -175,7 +178,8 @@ _G = SupportGraph([0, 1], [0], [(0, 0), (1, 0)])     # {c0, c1} violates the cov
 ], ids=["vector-float", "vector-bool", "from_pairs-float", "matrix-float",
         "from_entries-float", "from_entries-bool", "sdr-bool", "sdr-float", "bijection-float",
         "matching-float", "witness-bool", "witness-float", "stream-float", "vertex-bool",
-        "vertex-float", "graph-vertex-float", "graph-edge-float", "deficiency-float",
+        "vertex-float", "vertex-make-side", "vertex-make-float", "vertex-replace-bool",
+        "graph-vertex-float", "graph-edge-float", "deficiency-float",
         "deficiency-bool", "base-row-float", "base-row-bool", "string-float", "string-bool",
         "saturated-float", "saturated-bool"])
 def test_public_inputs_refuse_non_int_indices(build):
